@@ -80,13 +80,23 @@ struct MonitorOptions {
   std::shared_ptr<http::StreamHub> Events;
 };
 
+/// The per-region SID_C and per-activity SID_A gauges of the current
+/// file segment, looked up once on its first reported window (a new
+/// segment may declare other names).
+struct WindowGauges {
+  std::vector<metrics::Gauge *> SidC;
+  std::vector<metrics::Gauge *> SidA;
+};
+
 /// Emits one completed window: a structured log record, per-region
 /// gauge updates, history retention, SSE fan-out and alert checks.
 /// \p DroppedDelta is the lenient-mode drop count observed since the
 /// previous drain, attributed to this window.
 void reportWindow(const core::WindowResult &W, const MonitorOptions &Opts,
-                  uint64_t DroppedDelta) {
-  metrics::counter("lima.monitor.windows_total").add(1);
+                  WindowGauges &Gauges, uint64_t DroppedDelta) {
+  static metrics::Counter &WindowsTotal =
+      metrics::counter("lima.monitor.windows_total");
+  WindowsTotal.add(1);
 
   if (Opts.History) {
     core::WindowSummary S = core::WindowHistory::summarize(W, DroppedDelta);
@@ -119,11 +129,19 @@ void reportWindow(const core::WindowResult &W, const MonitorOptions &Opts,
        logging::field("most_imbalanced_proc",
                       W.Processors.MostFrequentlyImbalanced)});
 
+  if (Gauges.SidC.empty()) {
+    for (const std::string &Region : W.Cube.regionNames())
+      Gauges.SidC.push_back(&metrics::gauge(
+          "lima.window.sid_c{region=\"" + metrics::escapeLabelValue(Region) +
+          "\"}"));
+    for (const std::string &Activity : W.Cube.activityNames())
+      Gauges.SidA.push_back(&metrics::gauge(
+          "lima.window.sid_a{activity=\"" +
+          metrics::escapeLabelValue(Activity) + "\"}"));
+  }
   for (size_t I = 0; I != W.Regions.ScaledIndex.size(); ++I) {
     double SidC = W.Regions.ScaledIndex[I];
-    metrics::gauge("lima.window.sid_c{region=\"" +
-                   metrics::escapeLabelValue(W.Cube.regionName(I)) + "\"}")
-        .set(SidC);
+    Gauges.SidC[I]->set(SidC);
     if (Opts.PerRegion)
       logging::info("region", {logging::field("window", W.Index),
                                logging::field("region", W.Cube.regionName(I)),
@@ -142,9 +160,7 @@ void reportWindow(const core::WindowResult &W, const MonitorOptions &Opts,
     }
   }
   for (size_t J = 0; J != W.Activities.ScaledIndex.size(); ++J)
-    metrics::gauge("lima.window.sid_a{activity=\"" +
-                   metrics::escapeLabelValue(W.Cube.activityName(J)) + "\"}")
-        .set(W.Activities.ScaledIndex[J]);
+    Gauges.SidA[J]->set(W.Activities.ScaledIndex[J]);
 }
 
 void dumpMetrics(const MonitorOptions &Opts) {
@@ -358,6 +374,7 @@ int main(int Argc, char **Argv) {
   std::optional<trace::StreamParser> Stream;
   Stream.emplace(Parse);
   std::optional<core::WindowedAnalyzer> Analyzer;
+  WindowGauges Gauges;
   core::WindowedOptions WOpts;
   WOpts.WindowSeconds = WindowSeconds;
   WOpts.Views.Kind = Kind;
@@ -441,7 +458,11 @@ int main(int Argc, char **Argv) {
                          Stream->numProcs(), WOpts);
       }
       ExitOnErr(Analyzer->addEvent(E));
-      metrics::counter("lima.monitor.events_total").add(1);
+    }
+    if (!Events.empty()) {
+      static metrics::Counter &EventsTotal =
+          metrics::counter("lima.monitor.events_total");
+      EventsTotal.add(Events.size());
     }
     Events.clear();
     if (!Analyzer)
@@ -461,7 +482,7 @@ int main(int Argc, char **Argv) {
         metrics::counter("lima.monitor.windows_suppressed_total").add(1);
         continue;
       }
-      reportWindow(W, Monitor, DropDelta);
+      reportWindow(W, Monitor, Gauges, DropDelta);
       DropDelta = 0;
       LastReported = static_cast<int64_t>(W.Index);
       ++WindowsEmitted;
@@ -471,9 +492,10 @@ int main(int Argc, char **Argv) {
       double Sec = std::chrono::duration<double>(
                        std::chrono::steady_clock::now() - T0)
                        .count();
-      metrics::histogram("lima.monitor.drain_seconds",
-                         metrics::Histogram::exponentialBounds(1e-6, 10.0, 8))
-          .observe(Sec);
+      static metrics::Histogram &DrainSeconds = metrics::histogram(
+          "lima.monitor.drain_seconds",
+          metrics::Histogram::exponentialBounds(1e-6, 10.0, 8));
+      DrainSeconds.observe(Sec);
     }
     metrics::gauge("lima.monitor.watermark_seconds")
         .set(Analyzer->watermark());
@@ -499,7 +521,7 @@ int main(int Argc, char **Argv) {
         metrics::counter("lima.monitor.windows_suppressed_total").add(1);
         continue;
       }
-      reportWindow(W, Monitor, DropDelta);
+      reportWindow(W, Monitor, Gauges, DropDelta);
       DropDelta = 0;
       LastReported = static_cast<int64_t>(W.Index);
       ++WindowsEmitted;
@@ -521,6 +543,7 @@ int main(int Argc, char **Argv) {
     WindowIndexBase = static_cast<uint64_t>(LastReported + 1);
     EventsParsedPrior += Stream->eventsParsed();
     Analyzer.reset();
+    Gauges = {};
     Stream.emplace(Parse);
     metrics::counter(std::string("lima.reopen_total{reason=\"") + Reason +
                      "\"}")

@@ -32,8 +32,8 @@ Expected<RunComparison> core::compareRuns(const MeasurementCube &Before,
   if (Before.activityNames() != After.activityNames())
     return makeStringError("cubes disagree on the activity set");
 
-  RegionView ViewBefore = computeRegionView(Before, Options.Views);
-  RegionView ViewAfter = computeRegionView(After, Options.Views);
+  RegionView ViewBefore = computeViews(Before, Options.Views).Regions;
+  RegionView ViewAfter = computeViews(After, Options.Views).Regions;
 
   RunComparison Comparison;
   Comparison.ProgramTimeBefore = Before.programTime();

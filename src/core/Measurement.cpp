@@ -65,7 +65,8 @@ double MeasurementCube::procRegionTime(size_t I, unsigned P) const {
 }
 
 double MeasurementCube::programTime() const {
-  return ProgramTotal.value_or(instrumentedTotal());
+  // Not value_or: its argument would sum the whole cube on every call.
+  return ProgramTotal ? *ProgramTotal : instrumentedTotal();
 }
 
 std::vector<double> MeasurementCube::processorSlice(size_t I, size_t J) const {

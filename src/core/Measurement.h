@@ -34,6 +34,7 @@
 #include "support/Error.h"
 #include <cassert>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -108,6 +109,12 @@ public:
 
   /// The per-processor slice t[I][J][.] as a vector of length P.
   std::vector<double> processorSlice(size_t I, size_t J) const;
+
+  /// Every cell in storage order, read in place: region-major, then
+  /// activity, then processor, so t_ijp sits at
+  /// (I * numActivities() + J) * numProcs() + P.  Valid while the cube
+  /// lives.
+  std::span<const double> cells() const { return Data; }
 
   /// The activity profile of region \p I: (t_i1, ..., t_iK) — the vector
   /// each region is described by for clustering (Section 2).

@@ -5,9 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Pipeline.h"
-#include "support/Parallel.h"
 #include "support/Telemetry.h"
-#include <functional>
 
 using namespace lima;
 using namespace lima::core;
@@ -22,41 +20,20 @@ Expected<AnalysisResult> core::analyze(const MeasurementCube &Cube,
   LIMA_STAGE("analyze");
   AnalysisResult Result;
 
-  // The profile, the three views and the pattern diagrams only read the
-  // cube and each fill their own result slot, so they run as one batch
-  // of independent tasks.  Ranking and clustering consume the views and
-  // follow serially.
-  std::vector<size_t> ActiveActivities;
-  for (size_t J = 0; J != Cube.numActivities(); ++J)
-    if (Cube.activityTime(J) > 0.0)
-      ActiveActivities.push_back(J);
-  Result.Patterns.resize(ActiveActivities.size());
-
-  std::vector<std::function<void()>> Tasks;
-  Tasks.push_back([&] {
-    LIMA_SPAN("analyze.profile");
+  // Serial on purpose: on a paper-sized cube this whole step takes tens
+  // of microseconds, less than dispatching it to a thread pool costs.
+  {
+    LIMA_SPAN("analyze.views");
+    CubeViews Views = computeViews(Cube, Options.Views);
+    Result.Activities = std::move(Views.Activities);
+    Result.Regions = std::move(Views.Regions);
+    Result.Processors = std::move(Views.Processors);
     Result.Profile = computeCoarseProfile(Cube);
-  });
-  Tasks.push_back([&] {
-    LIMA_SPAN("analyze.activity-view");
-    Result.Activities = computeActivityView(Cube, Options.Views);
-  });
-  Tasks.push_back([&] {
-    LIMA_SPAN("analyze.region-view");
-    Result.Regions = computeRegionView(Cube, Options.Views);
-  });
-  Tasks.push_back([&] {
-    LIMA_SPAN("analyze.processor-view");
-    Result.Processors = computeProcessorView(Cube, Options.Views);
-  });
-  for (size_t Slot = 0; Slot != ActiveActivities.size(); ++Slot)
-    Tasks.push_back([&, Slot] {
-      LIMA_SPAN("analyze.pattern");
-      Result.Patterns[Slot] = computePatternDiagram(
-          Cube, ActiveActivities[Slot], Options.PatternBand);
-    });
-  parallelFor(Tasks.size(), Options.Threads,
-              [&](size_t Task) { Tasks[Task](); });
+    for (size_t J = 0; J != Cube.numActivities(); ++J)
+      if (Cube.activityTime(J) > 0.0)
+        Result.Patterns.push_back(
+            computePatternDiagram(Cube, J, Options.PatternBand));
+  }
 
   if (Options.Clusters >= 2 && Cube.numRegions() >= 2) {
     LIMA_SPAN("analyze.cluster");

@@ -38,12 +38,10 @@ struct AnalysisOptions {
   RankingOptions Ranking;
   /// Band fraction of the pattern diagrams.
   double PatternBand = 0.15;
-  /// Worker threads (0 = all hardware threads, 1 = serial).  The coarse
-  /// profile, the three views and the per-activity pattern diagrams are
-  /// independent read-only computations over the cube; each runs as its
-  /// own task writing its own result slot, so the analysis is
-  /// bit-identical at any thread count.  Propagated to the k-means
-  /// assignment step of region clustering.
+  /// Worker threads (0 = all hardware threads, 1 = serial) for the
+  /// k-means assignment step of region clustering; the analysis is
+  /// bit-identical at any thread count.  The views, the coarse profile
+  /// and the pattern diagrams always run serially.
   unsigned Threads = 0;
 };
 

@@ -107,7 +107,7 @@ TextTable core::makeProcessorMatrixTable(const MeasurementCube &Cube,
                                          const ProcessorView &View) {
   std::vector<std::string> Header = {"region"};
   for (unsigned P = 0; P != Cube.numProcs(); ++P)
-    Header.push_back("p" + std::to_string(P + 1));
+    Header.push_back(std::string("p").append(std::to_string(P + 1)));
   TextTable Table(std::move(Header));
   Table.setTitle("Processor view: full ID_P matrix");
   Table.setAlign(0, Align::Left);

@@ -20,6 +20,16 @@
 ///  * Code-region view — ID_C[i] = sum_j (t_ij / t_i) ID_ij, scaled as
 ///    SID_C[i] = (t_i / T) ID_C[i].
 ///
+/// computeViews is the one implementation of all three and of the ID_ij
+/// matrix they share.  It runs once per cube (lima_monitor calls it on
+/// every window), so it computes each marginal and each ID_ij cell once,
+/// reads slices in place, and skips all-zero slices and regions, whose
+/// indices are 0 by definition.  Every compensated sum it computes adds
+/// the same values in the same order as the cube's accessors, zeros
+/// included, and the ones it skips are sums of zeros only (+0.0), so
+/// results are bit-identical to evaluating each view's formula on its
+/// own.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef LIMA_CORE_VIEWS_H
@@ -42,7 +52,8 @@ struct ViewOptions {
 /// in activity j within region i.  Zero when no processor performed the
 /// activity in that region.
 ///
-/// Entry [I][J] corresponds to the paper's Table 2.
+/// Entry [I][J] corresponds to the paper's Table 2.  Equivalent to
+/// computeViews(Cube, Options).Activities.Dissimilarity.
 std::vector<std::vector<double>>
 computeDissimilarityMatrix(const MeasurementCube &Cube,
                            const ViewOptions &Options = {});
@@ -96,7 +107,7 @@ struct ActivityView {
   size_t MostImbalancedScaled = 0;
 };
 
-/// Computes the activity view.
+/// Computes the activity view; computeViews(Cube, Options).Activities.
 ActivityView computeActivityView(const MeasurementCube &Cube,
                                  const ViewOptions &Options = {});
 
@@ -116,9 +127,25 @@ struct RegionView {
   size_t MostImbalancedScaled = 0;
 };
 
-/// Computes the code-region view.
+/// Computes the code-region view; computeViews(Cube, Options).Regions.
 RegionView computeRegionView(const MeasurementCube &Cube,
                              const ViewOptions &Options = {});
+
+//===----------------------------------------------------------------------===//
+// All three views
+//===----------------------------------------------------------------------===//
+
+/// The activity, region and processor views of one cube.
+struct CubeViews {
+  ActivityView Activities;
+  RegionView Regions;
+  ProcessorView Processors;
+};
+
+/// Computes all three views of \p Cube in one pass (see the file
+/// comment).  An all-zero cube yields all-zero indices.
+CubeViews computeViews(const MeasurementCube &Cube,
+                       const ViewOptions &Options = {});
 
 } // namespace core
 } // namespace lima

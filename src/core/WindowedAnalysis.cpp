@@ -195,7 +195,6 @@ Error WindowedAnalyzer::addEvent(const Event &E) {
                           static_cast<unsigned long long>(
                               Options.MaxWindowsInFlight));
   Accum->Events += 1;
-  LIMA_METRIC_COUNT("lima.windowed.events_total", 1);
   return Error::success();
 }
 
@@ -237,9 +236,10 @@ WindowResult WindowedAnalyzer::emitWindow(uint64_t Index,
   if (Covered > 0.0)
     R.Cube.setProgramTime(Covered);
   if (!R.Empty) {
-    R.Activities = computeActivityView(R.Cube, Options.Views);
-    R.Regions = computeRegionView(R.Cube, Options.Views);
-    R.Processors = computeProcessorView(R.Cube, Options.Views);
+    CubeViews Views = computeViews(R.Cube, Options.Views);
+    R.Activities = std::move(Views.Activities);
+    R.Regions = std::move(Views.Regions);
+    R.Processors = std::move(Views.Processors);
   }
   LIMA_METRIC_COUNT("lima.windowed.windows_total", 1);
   return R;
@@ -247,6 +247,9 @@ WindowResult WindowedAnalyzer::emitWindow(uint64_t Index,
 
 std::vector<WindowResult> WindowedAnalyzer::drainUpTo(double Bound,
                                                       bool Flush) {
+  // Counted here, once per drain, rather than once per event.
+  LIMA_METRIC_COUNT("lima.windowed.events_total", EventsSeen - EventsCounted);
+  EventsCounted = EventsSeen;
   std::vector<WindowResult> Out;
   for (auto It = Windows.begin(); It != Windows.end();) {
     double WinEnd =

@@ -9,11 +9,13 @@
 /// fixed-width windows [k*W, (k+1)*W) anchored at t = 0, each window
 /// accumulates its own measurement cube incrementally, and when a
 /// window completes the paper's dispersion indices (ID_P, ID_A/SID_A,
-/// ID_C/SID_C) are evaluated over just that window.  This turns the
-/// post-mortem methodology into the rolling health signal a long-lived
-/// trace consumer (lima_monitor) reports, following the time-resolved
-/// reading of the indices in Haldar's trace-window analysis
-/// (PAPERS.md).
+/// ID_C/SID_C) are evaluated over just that window, by one
+/// core::computeViews call.  This turns the post-mortem methodology
+/// into the rolling health signal a long-lived trace consumer
+/// (lima_monitor) reports, following the time-resolved reading of the
+/// indices in Haldar's trace-window analysis (PAPERS.md).  A short
+/// window sees few regions and activities, so most of its cube is
+/// zero, which computeViews skips.
 ///
 /// Determinism contract: with a single window spanning the whole trace,
 /// the accumulated cube — and therefore every derived index — is
@@ -181,6 +183,9 @@ private:
   std::map<uint64_t, WindowAccum> Windows;
   double MaxTime = 0.0;
   uint64_t EventsSeen = 0;
+  /// EventsSeen at the last drain, when lima.windowed.events_total was
+  /// last bumped.
+  uint64_t EventsCounted = 0;
   bool Finished = false;
 };
 

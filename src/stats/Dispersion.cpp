@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <vector>
 
 using namespace lima;
 using namespace lima::stats;
@@ -46,12 +47,7 @@ std::string_view stats::dispersionKindName(DispersionKind Kind) {
   lima_unreachable("unknown DispersionKind");
 }
 
-static bool isAllZero(const std::vector<double> &Values) {
-  return std::all_of(Values.begin(), Values.end(),
-                     [](double V) { return V == 0.0; });
-}
-
-static double euclideanFromMean(const std::vector<double> &Shares) {
+static double euclideanFromMean(std::span<const double> Shares) {
   double Mean = mean(Shares);
   KahanSum Acc;
   for (double S : Shares)
@@ -59,12 +55,12 @@ static double euclideanFromMean(const std::vector<double> &Shares) {
   return std::sqrt(Acc.total());
 }
 
-static double giniCoefficient(const std::vector<double> &Shares) {
+static double giniCoefficient(std::span<const double> Shares) {
   // Mean absolute pairwise difference over twice the mean, computed in
   // O(n log n) via the sorted form.
   size_t N = Shares.size();
   assert(N > 0 && "gini of empty vector");
-  std::vector<double> Sorted(Shares);
+  std::vector<double> Sorted(Shares.begin(), Shares.end());
   std::sort(Sorted.begin(), Sorted.end());
   double Total = sum(Sorted);
   if (Total <= 0.0)
@@ -78,7 +74,7 @@ static double giniCoefficient(const std::vector<double> &Shares) {
 }
 
 double stats::dispersionIndex(DispersionKind Kind,
-                              const std::vector<double> &Shares) {
+                              std::span<const double> Shares) {
   assert(!Shares.empty() && "dispersion of empty vector");
   assert(isShareVector(Shares) && "dispersionIndex expects standardized data");
   if (isAllZero(Shares))
@@ -102,12 +98,12 @@ double stats::dispersionIndex(DispersionKind Kind,
   lima_unreachable("unknown DispersionKind");
 }
 
-double stats::imbalanceIndex(const std::vector<double> &Times) {
+double stats::imbalanceIndex(std::span<const double> Times) {
   return imbalanceIndexAs(DispersionKind::Euclidean, Times);
 }
 
 double stats::imbalanceIndexAs(DispersionKind Kind,
-                               const std::vector<double> &Times) {
+                               std::span<const double> Times) {
   return dispersionIndex(Kind, toShares(Times));
 }
 

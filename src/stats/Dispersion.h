@@ -17,8 +17,8 @@
 #ifndef LIMA_STATS_DISPERSION_H
 #define LIMA_STATS_DISPERSION_H
 
+#include <span>
 #include <string_view>
-#include <vector>
 
 namespace lima {
 namespace stats {
@@ -50,7 +50,7 @@ std::string_view dispersionKindName(DispersionKind Kind);
 
 /// Computes the dispersion index of \p Kind over an already-standardized
 /// share vector \p Shares.  An all-zero vector yields 0 for every kind.
-double dispersionIndex(DispersionKind Kind, const std::vector<double> &Shares);
+double dispersionIndex(DispersionKind Kind, std::span<const double> Shares);
 
 /// The paper's index of dispersion over *raw* wall-clock times: the times
 /// are standardized to shares and the Euclidean distance from the
@@ -58,11 +58,11 @@ double dispersionIndex(DispersionKind Kind, const std::vector<double> &Shares);
 ///
 /// Equals 0 when all processors spent identical time (or none did), and
 /// approaches sqrt(1 - 1/P) when one processor accounts for all the time.
-double imbalanceIndex(const std::vector<double> &Times);
+double imbalanceIndex(std::span<const double> Times);
 
 /// Like imbalanceIndex but with a selectable index family; raw times are
 /// standardized first.
-double imbalanceIndexAs(DispersionKind Kind, const std::vector<double> &Times);
+double imbalanceIndexAs(DispersionKind Kind, std::span<const double> Times);
 
 /// The largest value imbalanceIndex can take for \p Count elements,
 /// sqrt(1 - 1/Count); useful for normalizing indices to [0, 1].

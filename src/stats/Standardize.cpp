@@ -7,24 +7,34 @@
 #include "stats/Standardize.h"
 #include "stats/Descriptive.h"
 #include "support/MathUtils.h"
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
 using namespace lima;
 
-std::vector<double> stats::toShares(const std::vector<double> &Values) {
-  for ([[maybe_unused]] double V : Values)
-    assert(V >= 0.0 && "shares require non-negative values");
-  double Total = sum(Values);
-  std::vector<double> Shares(Values.size(), 0.0);
-  if (Total <= 0.0)
-    return Shares;
-  for (size_t I = 0; I != Values.size(); ++I)
-    Shares[I] = Values[I] / Total;
+std::vector<double> stats::toShares(std::span<const double> Values) {
+  std::vector<double> Shares(Values.size());
+  toShares(Values, Shares);
   return Shares;
 }
 
-bool stats::isShareVector(const std::vector<double> &Shares, double Tol) {
+double stats::toShares(std::span<const double> Values,
+                       std::span<double> Shares) {
+  assert(Shares.size() == Values.size() && "share buffer size mismatch");
+  for ([[maybe_unused]] double V : Values)
+    assert(V >= 0.0 && "shares require non-negative values");
+  double Total = sum(Values);
+  if (Total <= 0.0) {
+    std::fill(Shares.begin(), Shares.end(), 0.0);
+    return Total;
+  }
+  for (size_t I = 0; I != Values.size(); ++I)
+    Shares[I] = Values[I] / Total;
+  return Total;
+}
+
+bool stats::isShareVector(std::span<const double> Shares, double Tol) {
   bool AllZero = true;
   for (double S : Shares) {
     if (S < -Tol)

@@ -17,6 +17,7 @@
 #ifndef LIMA_STATS_STANDARDIZE_H
 #define LIMA_STATS_STANDARDIZE_H
 
+#include <span>
 #include <vector>
 
 namespace lima {
@@ -27,11 +28,16 @@ namespace stats {
 /// All elements must be non-negative.  A zero-sum vector (an activity no
 /// processor performed) standardizes to all-zeros, which downstream code
 /// treats as "perfectly balanced, index 0".
-std::vector<double> toShares(const std::vector<double> &Values);
+std::vector<double> toShares(std::span<const double> Values);
+
+/// Allocation-free form of toShares: writes the shares of \p Values into
+/// \p Shares (same length) and returns the compensated sum of \p Values
+/// they were divided by.
+double toShares(std::span<const double> Values, std::span<double> Shares);
 
 /// True when \p Shares is a valid share vector: non-negative entries that
 /// sum to 1 within tolerance, or all-zero.
-bool isShareVector(const std::vector<double> &Shares, double Tol = 1e-9);
+bool isShareVector(std::span<const double> Shares, double Tol = 1e-9);
 
 } // namespace stats
 } // namespace lima

@@ -8,7 +8,7 @@
 
 using namespace lima;
 
-double lima::sumKahan(const std::vector<double> &Values) {
+double lima::sumKahan(std::span<const double> Values) {
   KahanSum Sum;
   for (double Value : Values)
     Sum.add(Value);

@@ -14,7 +14,7 @@
 
 #include <cmath>
 #include <cstddef>
-#include <vector>
+#include <span>
 
 namespace lima {
 
@@ -39,7 +39,7 @@ private:
 };
 
 /// Compensated sum of a whole range.
-double sumKahan(const std::vector<double> &Values);
+double sumKahan(std::span<const double> Values);
 
 /// True when |A - B| <= AbsTol + RelTol * max(|A|, |B|).
 inline bool almostEqual(double A, double B, double AbsTol = 1e-12,

@@ -115,12 +115,21 @@ Error StreamParser::parseLine(std::string_view RawLine,
   }
   if (++TotalEvents > Limits.MaxEvents)
     return fail(ErrorCode::LimitExceeded, "event count exceeds the limit");
-  LIMA_METRIC_COUNT("lima.stream.events_total", 1);
   Out.push_back(E);
   return Error::success();
 }
 
+// lima.stream.events_total is bumped once per feed() or finish() call
+// with the events it appended, not once per event.
 Error StreamParser::feed(std::string_view Bytes, std::vector<Event> &Out) {
+  [[maybe_unused]] size_t Before = Out.size();
+  Error Err = feedLines(Bytes, Out);
+  LIMA_METRIC_COUNT("lima.stream.events_total", Out.size() - Before);
+  return Err;
+}
+
+Error StreamParser::feedLines(std::string_view Bytes,
+                              std::vector<Event> &Out) {
   Buffer.append(Bytes);
   size_t Start = 0;
   for (;;) {
@@ -150,7 +159,10 @@ Error StreamParser::finish(std::vector<Event> &Out) {
   if (!Buffer.empty()) {
     std::string Last;
     Last.swap(Buffer);
-    if (auto Err = parseLine(Last, Out))
+    [[maybe_unused]] size_t Before = Out.size();
+    Error Err = parseLine(Last, Out);
+    LIMA_METRIC_COUNT("lima.stream.events_total", Out.size() - Before);
+    if (Err)
       return Err;
     StreamOffset += Last.size();
   }

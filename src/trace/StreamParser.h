@@ -61,6 +61,7 @@ public:
   uint64_t eventsParsed() const { return TotalEvents; }
 
 private:
+  Error feedLines(std::string_view Bytes, std::vector<Event> &Out);
   Error parseLine(std::string_view RawLine, std::vector<Event> &Out);
 
   ParseOptions Options;

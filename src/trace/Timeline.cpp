@@ -34,8 +34,7 @@ std::string trace::renderTimeline(const Trace &T,
 
   size_t LabelWidth = 0;
   for (unsigned Proc = 0; Proc != T.numProcs(); ++Proc)
-    LabelWidth = std::max(LabelWidth,
-                          ("p" + std::to_string(Proc + 1)).size());
+    LabelWidth = std::max(LabelWidth, 1 + std::to_string(Proc + 1).size());
 
   for (unsigned Proc = 0; Proc != T.numProcs(); ++Proc) {
     // Coverage[bucket][activity]: seconds of that activity in the bucket.
@@ -71,7 +70,8 @@ std::string trace::renderTimeline(const Trace &T,
       }
     }
 
-    std::string Label = "p" + std::to_string(Proc + 1);
+    std::string Label = "p";
+    Label += std::to_string(Proc + 1);
     Out += leftJustify(Label, LabelWidth);
     Out += " |";
     for (unsigned B = 0; B != Options.Width; ++B) {

@@ -101,13 +101,13 @@ std::string trace::renderCommunicationMatrix(const TraceStats &Stats) {
   size_t P = Stats.Traffic.size();
   std::vector<std::string> Header = {"from\\to"};
   for (size_t To = 0; To != P; ++To)
-    Header.push_back("p" + std::to_string(To + 1));
+    Header.push_back(std::string("p").append(std::to_string(To + 1)));
   TextTable Table(std::move(Header));
   Table.setTitle("Point-to-point communication matrix (messages / bytes)");
   Table.setAlign(0, Align::Left);
   for (size_t From = 0; From != P; ++From) {
     std::vector<std::string> Row;
-    Row.push_back("p" + std::to_string(From + 1));
+    Row.push_back(std::string("p").append(std::to_string(From + 1)));
     for (size_t To = 0; To != P; ++To) {
       const PairTraffic &Pair = Stats.Traffic[From][To];
       if (Pair.Messages == 0) {

@@ -40,9 +40,9 @@ MeasurementCube randomCube(RNG &Rng) {
   unsigned P = 3 + static_cast<unsigned>(Rng.uniformInt(7));
   std::vector<std::string> Regions, Activities;
   for (size_t I = 0; I != N; ++I)
-    Regions.push_back("r" + std::to_string(I));
+    Regions.push_back(std::string("r").append(std::to_string(I)));
   for (size_t J = 0; J != K; ++J)
-    Activities.push_back("a" + std::to_string(J));
+    Activities.push_back(std::string("a").append(std::to_string(J)));
   MeasurementCube Cube(std::move(Regions), std::move(Activities), P);
   for (size_t I = 0; I != N; ++I)
     for (size_t J = 0; J != K; ++J) {

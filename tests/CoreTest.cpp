@@ -219,6 +219,22 @@ TEST(ViewsTest, IdleProcessorExcludedFromMeanMix) {
   EXPECT_NEAR(View.Index[0][0], 0.0, 1e-12);
 }
 
+TEST(ViewsTest, AllZeroCubeViewsAreZero) {
+  // Nothing to be imbalanced about (e.g. lima_analyze --counting on a
+  // trace without messages): every index is 0 rather than a failure.
+  MeasurementCube Cube({"r0", "r1"}, {"comp", "comm"}, 3);
+  ActivityView Activities = computeActivityView(Cube);
+  RegionView Regions = computeRegionView(Cube);
+  for (double Index : Activities.Index)
+    EXPECT_EQ(Index, 0.0);
+  for (double Index : Activities.ScaledIndex)
+    EXPECT_EQ(Index, 0.0);
+  for (double Index : Regions.Index)
+    EXPECT_EQ(Index, 0.0);
+  for (double Index : Regions.ScaledIndex)
+    EXPECT_EQ(Index, 0.0);
+}
+
 TEST(ViewsTest, AlternativeDispersionKindChangesMatrixNotStructure) {
   MeasurementCube Cube = makeSmallCube();
   ViewOptions Options;

@@ -65,7 +65,7 @@ TEST(DescriptiveTest, PercentileSingleton) {
 //===----------------------------------------------------------------------===//
 
 TEST(StandardizeTest, SharesSumToOne) {
-  std::vector<double> Shares = toShares({2.0, 3.0, 5.0});
+  std::vector<double> Shares = toShares(std::vector<double>{2.0, 3.0, 5.0});
   EXPECT_DOUBLE_EQ(Shares[0], 0.2);
   EXPECT_DOUBLE_EQ(Shares[1], 0.3);
   EXPECT_DOUBLE_EQ(Shares[2], 0.5);
@@ -73,14 +73,14 @@ TEST(StandardizeTest, SharesSumToOne) {
 }
 
 TEST(StandardizeTest, ZeroVectorStandardizesToZeros) {
-  std::vector<double> Shares = toShares({0.0, 0.0, 0.0});
+  std::vector<double> Shares = toShares(std::vector<double>{0.0, 0.0, 0.0});
   EXPECT_EQ(Shares, (std::vector<double>{0.0, 0.0, 0.0}));
   EXPECT_TRUE(isShareVector(Shares));
 }
 
 TEST(StandardizeTest, IsShareVectorRejectsBadSums) {
-  EXPECT_FALSE(isShareVector({0.5, 0.4}));
-  EXPECT_FALSE(isShareVector({1.2, -0.2}));
+  EXPECT_FALSE(isShareVector(std::vector<double>{0.5, 0.4}));
+  EXPECT_FALSE(isShareVector(std::vector<double>{1.2, -0.2}));
 }
 
 //===----------------------------------------------------------------------===//
@@ -128,7 +128,8 @@ TEST(DispersionTest, AllZeroIsZeroForEveryKind) {
 
 TEST(DispersionTest, GiniHandComputed) {
   // Shares (0, 1): Gini = mean abs pairwise diff / (2 * mean) = 0.5.
-  EXPECT_NEAR(imbalanceIndexAs(DispersionKind::Gini, {0.0, 4.0}), 0.5,
+  EXPECT_NEAR(imbalanceIndexAs(DispersionKind::Gini,
+                               std::vector<double>{0.0, 4.0}), 0.5,
               1e-12);
 }
 

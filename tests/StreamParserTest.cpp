@@ -7,6 +7,7 @@
 #include "trace/StreamParser.h"
 #include "support/FileUtils.h"
 #include "support/MappedFile.h"
+#include "support/Metrics.h"
 #include "trace/TraceIO.h"
 #include "TestHelpers.h"
 #include <cstdio>
@@ -31,10 +32,12 @@ const char *SampleTrace = "LIMATRACE 1\n"
                           "ae 1 2.0 0\n"
                           "rx 1 2.0 0\n";
 
-/// Feeds \p Text in chunks of \p ChunkSize bytes and returns all events.
+/// Feeds \p Text in chunks of \p ChunkSize bytes and returns all events;
+/// the parser's eventsParsed() goes to \p Parsed when given.
 Expected<std::vector<Event>> parseChunked(std::string_view Text,
                                           size_t ChunkSize,
-                                          ParseOptions Options = {}) {
+                                          ParseOptions Options = {},
+                                          uint64_t *Parsed = nullptr) {
   StreamParser P(Options);
   std::vector<Event> Events;
   for (size_t I = 0; I < Text.size(); I += ChunkSize) {
@@ -43,6 +46,8 @@ Expected<std::vector<Event>> parseChunked(std::string_view Text,
   }
   if (auto Err = P.finish(Events))
     return Err;
+  if (Parsed)
+    *Parsed = P.eventsParsed();
   return Events;
 }
 
@@ -50,14 +55,30 @@ Expected<std::vector<Event>> parseChunked(std::string_view Text,
 
 TEST(StreamParserTest, MatchesBatchParserAtAnyChunkSize) {
   Trace Whole = cantFail(parseTraceText(SampleTrace));
-  for (size_t Chunk : {size_t(1), size_t(7), size_t(64), size_t(4096)}) {
-    auto EventsOrErr = parseChunked(SampleTrace, Chunk);
-    ASSERT_TRUE(static_cast<bool>(EventsOrErr)) << "chunk " << Chunk;
-    size_t Total = 0;
-    for (unsigned P = 0; P != Whole.numProcs(); ++P)
-      Total += Whole.events(P).size();
-    EXPECT_EQ(EventsOrErr->size(), Total) << "chunk " << Chunk;
-  }
+  size_t Total = 0;
+  for (unsigned P = 0; P != Whole.numProcs(); ++P)
+    Total += Whole.events(P).size();
+  // The parser bumps lima.stream.events_total once per feed() or
+  // finish() call; at every chunk size it must still add up to the
+  // parser's own count, also when the last event arrives in finish()
+  // as an unterminated line.
+  std::string_view Terminated = SampleTrace;
+  std::string_view Unterminated = Terminated.substr(0, Terminated.size() - 1);
+  metrics::setEnabled(true);
+  metrics::Counter &Counted = metrics::counter("lima.stream.events_total");
+  for (std::string_view Text : {Terminated, Unterminated})
+    for (size_t Chunk : {size_t(1), size_t(7), size_t(64), size_t(4096)}) {
+      [[maybe_unused]] uint64_t Before = Counted.value();
+      uint64_t Parsed = 0;
+      auto EventsOrErr = parseChunked(Text, Chunk, {}, &Parsed);
+      ASSERT_TRUE(static_cast<bool>(EventsOrErr)) << "chunk " << Chunk;
+      EXPECT_EQ(EventsOrErr->size(), Total) << "chunk " << Chunk;
+      EXPECT_EQ(Parsed, Total) << "chunk " << Chunk;
+#if LIMA_TELEMETRY
+      EXPECT_EQ(Counted.value() - Before, Parsed) << "chunk " << Chunk;
+#endif
+    }
+  metrics::setEnabled(false);
 }
 
 TEST(StreamParserTest, HeaderTablesExposed) {

@@ -6,9 +6,12 @@
 
 #include "core/WindowedAnalysis.h"
 #include "core/TraceReduction.h"
+#include "support/RNG.h"
 #include "TestHelpers.h"
+#include "ViewsReference.h"
 #include <gtest/gtest.h>
 #include <limits>
+#include <string>
 
 using namespace lima;
 using namespace lima::core;
@@ -370,4 +373,57 @@ TEST(WindowedAnalysisTest, PartialFinalWindowProgramTimeIsCoveredSpan) {
   ASSERT_EQ(Windows.size(), 2u);
   EXPECT_DOUBLE_EQ(Windows[0].Cube.programTime(), 1.0);
   EXPECT_DOUBLE_EQ(Windows[1].Cube.programTime(), 0.25);
+}
+
+TEST(WindowedAnalysisTest, WindowViewsMatchReferenceWhenRegionsIdle) {
+  // Every processor runs regions 0..5 in turn, each a seeded computation
+  // then communication interval, so a window a fraction of a region long
+  // sees one or two active regions out of six: the shape of a monitor
+  // window, where the views kernel skips most of the cube.
+  const unsigned Procs = 8;
+  const uint32_t Regions = 6;
+  trace::Trace T(Procs);
+  for (uint32_t R = 0; R != Regions; ++R)
+    T.addRegion("loop" + std::to_string(R));
+  uint32_t Comp = T.addActivity("comp");
+  uint32_t Comm = T.addActivity("comm");
+  RNG Rng(42);
+  for (uint32_t P = 0; P != Procs; ++P) {
+    double Now = 0.0;
+    for (int Round = 0; Round != 3; ++Round)
+      for (uint32_t R = 0; R != Regions; ++R) {
+        T.append({Now, P, EventKind::RegionEnter, R, 0});
+        T.append({Now, P, EventKind::ActivityBegin, Comp, 0});
+        Now += Rng.uniformIn(0.5, 1.5);
+        T.append({Now, P, EventKind::ActivityEnd, Comp, 0});
+        T.append({Now, P, EventKind::ActivityBegin, Comm, 0});
+        Now += Rng.uniformIn(0.05, 0.3);
+        T.append({Now, P, EventKind::ActivityEnd, Comm, 0});
+        T.append({Now, P, EventKind::RegionExit, R, 0});
+      }
+  }
+
+  for (stats::DispersionKind Kind : stats::AllDispersionKinds) {
+    WindowedOptions Opts;
+    Opts.WindowSeconds = 0.25;
+    Opts.Views.Kind = Kind;
+    WindowedAnalyzer A = makeAnalyzer(T, Opts);
+    ASSERT_FALSE(A.addTrace(T));
+    std::vector<WindowResult> Windows = A.finish();
+    ASSERT_GT(Windows.size(), 40u);
+    size_t WithIdleRegion = 0;
+    for (const WindowResult &W : Windows) {
+      for (size_t I = 0; I != W.Cube.numRegions(); ++I)
+        if (W.Cube.regionTime(I) == 0.0) {
+          ++WithIdleRegion;
+          break;
+        }
+      testref::expectViewsBitIdentical(
+          {W.Activities, W.Regions, W.Processors},
+          testref::views(W.Cube, Opts.Views),
+          std::string(stats::dispersionKindName(Kind)) + " window " +
+              std::to_string(W.Index));
+    }
+    EXPECT_GT(WithIdleRegion * 10, Windows.size() * 9);
+  }
 }
