@@ -83,8 +83,9 @@ int main(int Argc, char **Argv) {
                    "euclidean");
   Parser.addOption("clusters", "number of region clusters (0 = skip)", "2");
   Parser.addOption("threads",
-                   "worker threads for reduction and analysis "
-                   "(0 = all hardware threads, 1 = serial)",
+                   "worker threads for trace ingestion, validation, "
+                   "reduction and analysis (0 = all hardware threads, "
+                   "1 = serial)",
                    "0");
   Parser.addFlag("csv", "emit tables as CSV instead of aligned text");
   Parser.addFlag("patterns", "also print the pattern diagrams");

@@ -127,11 +127,14 @@ bool foldProcessor(const trace::Trace &T, unsigned Proc,
 
 Expected<MeasurementCube> core::reduceTrace(const trace::Trace &T,
                                             const ReductionOptions &Options) {
+  LIMA_STAGE("reduce");
   // Lenient mode exists to digest traces that validation would reject;
   // the fold's own structural handling covers them event by event.
-  if (Options.Mode == ParseMode::Strict)
-    if (auto Err = T.validate())
+  if (Options.Mode == ParseMode::Strict) {
+    LIMA_SPAN("reduce.validate");
+    if (auto Err = T.validate(Options.Threads))
       return Err;
+  }
   if (T.numRegions() == 0)
     return makeCodedError(ErrorCode::MissingSection,
                           "trace declares no regions");
@@ -143,7 +146,6 @@ Expected<MeasurementCube> core::reduceTrace(const trace::Trace &T,
                           "gap activity id %u out of range",
                           Options.GapActivity);
 
-  LIMA_STAGE("reduce");
   MeasurementCube Cube(T.regionNames(), T.activityNames(), T.numProcs());
 
   // Shard per processor: every worker folds its own event stream into

@@ -34,9 +34,10 @@ struct ReductionOptions {
   /// time): the program's wall-clock duration, including uninstrumented
   /// stretches between regions.
   bool ProgramTimeFromSpan = true;
-  /// Worker threads for the per-processor reduction shards (0 = all
-  /// hardware threads, 1 = serial).  Results are bit-identical at any
-  /// setting: each processor's stream folds into disjoint cube cells.
+  /// Worker threads for strict-mode validation and the per-processor
+  /// reduction shards (0 = all hardware threads, 1 = serial).  Results
+  /// are bit-identical at any setting: each processor's stream is
+  /// checked into its own slot and folds into disjoint cube cells.
   unsigned Threads = 0;
   /// Strict: the first structurally impossible event aborts the
   /// reduction.  Lenient: such events are skipped (the fold continues
@@ -52,12 +53,12 @@ struct ReductionOptions {
 
 /// Reduces \p T to a cube with one region per trace region, one activity
 /// per trace activity and one column per processor.  In strict mode runs
-/// trace::Trace::validate() first and propagates its errors; the fold
-/// itself additionally rejects structurally impossible streams (region
-/// exit without enter, activity brackets outside any region) with a
-/// typed ErrorCode::StructuralError rather than relying on validation
-/// having run.  In lenient mode those events are dropped and counted
-/// instead (see ReductionOptions::Mode).
+/// trace::Trace::validate(Options.Threads) first and propagates its
+/// errors; the fold itself additionally rejects structurally impossible
+/// streams (region exit without enter, activity brackets outside any
+/// region) with a typed ErrorCode::StructuralError rather than relying
+/// on validation having run.  In lenient mode those events are dropped
+/// and counted instead (see ReductionOptions::Mode).
 Expected<MeasurementCube> reduceTrace(const trace::Trace &T,
                                       const ReductionOptions &Options = {});
 

@@ -10,8 +10,11 @@
 //   scan       shard the rest at newline boundaries; per shard, count
 //              lines and look for stray directives (pass A, parallel)
 //   parse      per shard, run the shared event-record grammar into
-//              shard-local events + ParseReport (pass B, parallel)
-//   merge      fold shard results back in shard order (sequential)
+//              shard-local per-processor columns + ParseReport
+//              (pass B, parallel)
+//   merge      fold shard reports and errors back in shard order, then
+//              concatenate each processor's shard columns in shard order
+//              (parallel across processors)
 //
 // Everything that could make the sharded result differ from the
 // sequential one — a directive in the event section (it would mutate
@@ -31,6 +34,7 @@
 #include "support/Parallel.h"
 #include "support/Telemetry.h"
 #include "trace/TextParserDetail.h"
+#include <algorithm>
 #include <cstring>
 #include <optional>
 
@@ -43,6 +47,23 @@ namespace {
 /// parse; run sequentially.
 constexpr size_t MinParallelBytes = 64 * 1024;
 
+/// One shard's accepted events of one processor, columnar and in file
+/// order.
+struct ProcColumns {
+  std::vector<double> Times;
+  std::vector<EventKind> Kinds;
+  std::vector<uint32_t> Ids;
+  std::vector<uint64_t> Bytes;
+
+  size_t size() const { return Times.size(); }
+  void append(const Event &E) {
+    Times.push_back(E.Time);
+    Kinds.push_back(E.Kind);
+    Ids.push_back(E.Id);
+    Bytes.push_back(E.Bytes);
+  }
+};
+
 struct Shard {
   size_t Begin = 0; ///< Lines starting in [Begin, End) belong here.
   size_t End = 0;
@@ -54,7 +75,8 @@ struct Shard {
 
   // Pass B inputs/results.
   size_t FirstLineNo = 0; ///< 1-based number of the shard's first line.
-  std::vector<Event> Events;
+  std::vector<ProcColumns> Procs; ///< Accepted events, per processor.
+  uint64_t NumEvents = 0;
   ParseReport Report;
   std::optional<ParseError> Err;
 };
@@ -127,6 +149,7 @@ void parseShard(std::string_view Text, Shard &S,
   const ParseLimits &Limits = Options.Limits;
   size_t LineNo = S.FirstLineNo - 1;
   uint64_t Records = 0; // flushed to S.Report after the walk
+  S.Procs.resize(Tables.NumProcs);
 
   forEachSegment(Text, S, [&](size_t Begin, size_t End) {
     std::string_view RawLine = Text.substr(Begin, End - Begin);
@@ -156,7 +179,8 @@ void parseShard(std::string_view Text, Shard &S,
       S.Err = std::move(PE);
       return false;
     }
-    S.Events.push_back(E);
+    S.Procs[E.Proc].append(E);
+    ++S.NumEvents;
     return true;
   });
   if (Local.Report)
@@ -178,6 +202,11 @@ Expected<Trace> trace::parseTraceTextParallel(std::string_view Text,
   scan::EventTables Tables = Parser.tables();
   size_t EvStart = Parser.position();
   size_t Remain = Text.size() - EvStart;
+  // Every shard keeps columns for every processor; cap the shard count
+  // so that their headers never outweigh the event text itself.
+  if (Tables.SawProcs)
+    Threads = static_cast<unsigned>(std::min<size_t>(
+        Threads, Remain / (Tables.NumProcs * sizeof(ProcColumns))));
   if (Parser.atEnd() || !Tables.SawProcs || Threads <= 1 ||
       Remain < MinParallelBytes) {
     // Nothing shardable (or not worth sharding): finish sequentially.
@@ -272,11 +301,30 @@ Expected<Trace> trace::parseTraceTextParallel(std::string_view Text,
       Options.Report->merge(S.Report);
     if (S.Err)
       return Error::fromParse(std::move(*S.Err));
-    MergedEvents += S.Events.size();
+    MergedEvents += S.NumEvents;
   }
-  for (const Shard &S : Shards)
-    for (const Event &E : S.Events)
-      Parser.appendEvent(E);
+  // A processor's stream is its shards' slices in shard order, which is
+  // file order.  Size each stream once, copy the slices in and free
+  // them; streams are disjoint, so processors merge concurrently.
+  Trace &T = Parser.trace();
+  parallelFor(T.numProcs(), Threads, [&](size_t I) {
+    unsigned Proc = static_cast<unsigned>(I);
+    size_t At = T.events(Proc).size();
+    size_t Total = At;
+    for (const Shard &S : Shards)
+      Total += S.Procs[Proc].size();
+    T.resizeStream(Proc, Total);
+    Trace::StreamColumns Dst = T.streamColumns(Proc);
+    for (Shard &S : Shards) {
+      ProcColumns &Src = S.Procs[Proc];
+      std::copy(Src.Times.begin(), Src.Times.end(), Dst.Times + At);
+      std::copy(Src.Kinds.begin(), Src.Kinds.end(), Dst.Kinds + At);
+      std::copy(Src.Ids.begin(), Src.Ids.end(), Dst.Ids + At);
+      std::copy(Src.Bytes.begin(), Src.Bytes.end(), Dst.Bytes + At);
+      At += Src.size();
+      Src = ProcColumns();
+    }
+  });
   Parser.noteShardedSection(RemainLines, MergedEvents,
                             MergedEvents * sizeof(Event));
   return Parser.take();

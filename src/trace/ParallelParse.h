@@ -12,8 +12,10 @@
 /// The contract is bit-identical equivalence with parseTraceText at
 /// every thread count:
 ///
-///  - the produced Trace is identical (events merge in shard order,
-///    which is file order, so per-processor event order is preserved);
+///  - the produced Trace is identical (each shard keeps its events per
+///    processor in file order, and every processor's stream concatenates
+///    its shard slices in shard order, so per-processor event order is
+///    file order);
 ///  - in strict mode the reported error is the sequentially-first one
 ///    (shards are scanned in byte order; the lowest-offset failure
 ///    wins) with the same code, line number, offset and message;

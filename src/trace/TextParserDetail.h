@@ -74,8 +74,9 @@ public:
     Done = true;
   }
 
-  /// Appends \p E to the trace under construction (sharded merge).
-  void appendEvent(const Event &E) { Result->append(E); }
+  /// The trace under construction, for the sharded merge to fill in
+  /// place.  Precondition: the prologue declared 'procs'.
+  Trace &trace() { return *Result; }
 
 private:
   /// Parses the line at Pos and advances past it.  Precondition:

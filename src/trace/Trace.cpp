@@ -6,11 +6,13 @@
 
 #include "trace/Trace.h"
 #include "support/Compiler.h"
+#include "support/Parallel.h"
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <map>
+#include <optional>
 #include <tuple>
+#include <unordered_map>
 
 using namespace lima;
 using namespace lima::trace;
@@ -107,115 +109,201 @@ size_t Trace::numEvents() const {
   return Total;
 }
 
-Error Trace::validate() const {
-  // Message matching: count (sender, receiver, bytes) triples from both
-  // sides; they must agree.
-  std::map<std::tuple<uint32_t, uint32_t, uint64_t>, int64_t> MessageBalance;
+namespace {
 
-  for (unsigned Proc = 0; Proc != numProcs(); ++Proc) {
-    const EventsRef Stream = events(Proc);
-    double LastTime = 0.0;
-    // Regions may nest (loops inside routines, statements inside loops);
-    // exits must match the innermost open region.
-    std::vector<uint32_t> RegionStack;
-    int64_t ActivityDepth = 0;
-    uint32_t OpenActivity = InvalidId;
+/// One side of a message as seen from the processor that logged it: the
+/// peer (receiver of a send, sender of a receive) and the byte count.
+struct PeerBytes {
+  uint32_t Peer;
+  uint64_t Bytes;
+  bool operator==(const PeerBytes &O) const {
+    return Peer == O.Peer && Bytes == O.Bytes;
+  }
+};
 
-    for (size_t I = 0; I != Stream.size(); ++I) {
-      const Event &E = Stream[I];
-      if (!std::isfinite(E.Time) || E.Time < 0.0)
-        return makeCodedError(ErrorCode::ValueOutOfRange,
-                              "proc %u event %zu: time %.9f is not finite "
-                              "and non-negative",
-                              Proc, I, E.Time);
-      if (E.Time + 1e-12 < LastTime)
-        return makeCodedError(
-            ErrorCode::StructuralError,
-            "proc %u event %zu: time goes backwards (%.9f after %.9f)", Proc,
-            I, E.Time, LastTime);
-      LastTime = std::max(LastTime, E.Time);
+struct PeerBytesHash {
+  size_t operator()(const PeerBytes &K) const {
+    return std::hash<uint64_t>()(K.Bytes * 0x9E3779B97F4A7C15ull + K.Peer);
+  }
+};
 
-      switch (E.Kind) {
-      case EventKind::RegionEnter:
-        if (ActivityDepth != 0)
-          return makeCodedError(ErrorCode::StructuralError,
-                                "proc %u event %zu: region enters while an "
-                                "activity is open",
-                                Proc, I);
-        RegionStack.push_back(E.Id);
-        break;
-      case EventKind::RegionExit:
-        if (RegionStack.empty())
-          return makeCodedError(ErrorCode::StructuralError,
-                                "proc %u event %zu: region exit without "
-                                "matching enter",
-                                Proc, I);
-        if (E.Id != RegionStack.back())
-          return makeCodedError(ErrorCode::StructuralError,
-                                "proc %u event %zu: region exit id %u does "
-                                "not match innermost open region %u",
-                                Proc, I, E.Id, RegionStack.back());
-        if (ActivityDepth != 0)
-          return makeCodedError(ErrorCode::StructuralError,
-                                "proc %u event %zu: region exits while an "
-                                "activity is open",
-                                Proc, I);
-        RegionStack.pop_back();
-        break;
-      case EventKind::ActivityBegin:
-        if (RegionStack.empty())
-          return makeCodedError(ErrorCode::StructuralError,
-                                "proc %u event %zu: activity begins outside "
-                                "any region",
-                                Proc, I);
-        if (ActivityDepth != 0)
-          return makeCodedError(ErrorCode::StructuralError,
-                                "proc %u event %zu: overlapping activities",
-                                Proc, I);
-        ActivityDepth = 1;
-        OpenActivity = E.Id;
-        break;
-      case EventKind::ActivityEnd:
-        if (ActivityDepth != 1)
-          return makeCodedError(ErrorCode::StructuralError,
-                                "proc %u event %zu: activity end without "
-                                "matching begin",
-                                Proc, I);
-        if (E.Id != OpenActivity)
-          return makeCodedError(ErrorCode::StructuralError,
-                                "proc %u event %zu: activity end id %u does "
-                                "not match open activity %u",
-                                Proc, I, E.Id, OpenActivity);
-        ActivityDepth = 0;
-        OpenActivity = InvalidId;
-        break;
-      case EventKind::MessageSend:
-        ++MessageBalance[{Proc, E.Id, E.Bytes}];
-        break;
-      case EventKind::MessageRecv:
-        --MessageBalance[{E.Id, Proc, E.Bytes}];
-        break;
-      }
+/// Message events of one processor, counted per (peer, bytes).
+using MessageTally = std::unordered_map<PeerBytes, int64_t, PeerBytesHash>;
+
+/// What validation learns from one processor's stream.
+struct ProcCheck {
+  std::optional<ParseError> Err; ///< First structural error.
+  MessageTally Sent;             ///< (receiver, bytes) -> sends.
+  MessageTally Received;         ///< (sender, bytes) -> receives.
+};
+
+/// Checks the structure of processor \p Proc's stream, stopping at the
+/// first error, and tallies its messages into \p Out.
+Error checkProcessor(const Trace::EventsRef Stream, unsigned Proc,
+                     ProcCheck &Out) {
+  double LastTime = 0.0;
+  // Regions may nest (loops inside routines, statements inside loops);
+  // exits must match the innermost open region.
+  std::vector<uint32_t> RegionStack;
+  int64_t ActivityDepth = 0;
+  uint32_t OpenActivity = Trace::InvalidId;
+
+  for (size_t I = 0; I != Stream.size(); ++I) {
+    const Event E = Stream[I];
+    if (!std::isfinite(E.Time) || E.Time < 0.0)
+      return makeCodedError(ErrorCode::ValueOutOfRange,
+                            "proc %u event %zu: time %.9f is not finite "
+                            "and non-negative",
+                            Proc, I, E.Time);
+    if (E.Time + 1e-12 < LastTime)
+      return makeCodedError(
+          ErrorCode::StructuralError,
+          "proc %u event %zu: time goes backwards (%.9f after %.9f)", Proc,
+          I, E.Time, LastTime);
+    LastTime = std::max(LastTime, E.Time);
+
+    switch (E.Kind) {
+    case EventKind::RegionEnter:
+      if (ActivityDepth != 0)
+        return makeCodedError(ErrorCode::StructuralError,
+                              "proc %u event %zu: region enters while an "
+                              "activity is open",
+                              Proc, I);
+      RegionStack.push_back(E.Id);
+      break;
+    case EventKind::RegionExit:
+      if (RegionStack.empty())
+        return makeCodedError(ErrorCode::StructuralError,
+                              "proc %u event %zu: region exit without "
+                              "matching enter",
+                              Proc, I);
+      if (E.Id != RegionStack.back())
+        return makeCodedError(ErrorCode::StructuralError,
+                              "proc %u event %zu: region exit id %u does "
+                              "not match innermost open region %u",
+                              Proc, I, E.Id, RegionStack.back());
+      if (ActivityDepth != 0)
+        return makeCodedError(ErrorCode::StructuralError,
+                              "proc %u event %zu: region exits while an "
+                              "activity is open",
+                              Proc, I);
+      RegionStack.pop_back();
+      break;
+    case EventKind::ActivityBegin:
+      if (RegionStack.empty())
+        return makeCodedError(ErrorCode::StructuralError,
+                              "proc %u event %zu: activity begins outside "
+                              "any region",
+                              Proc, I);
+      if (ActivityDepth != 0)
+        return makeCodedError(ErrorCode::StructuralError,
+                              "proc %u event %zu: overlapping activities",
+                              Proc, I);
+      ActivityDepth = 1;
+      OpenActivity = E.Id;
+      break;
+    case EventKind::ActivityEnd:
+      if (ActivityDepth != 1)
+        return makeCodedError(ErrorCode::StructuralError,
+                              "proc %u event %zu: activity end without "
+                              "matching begin",
+                              Proc, I);
+      if (E.Id != OpenActivity)
+        return makeCodedError(ErrorCode::StructuralError,
+                              "proc %u event %zu: activity end id %u does "
+                              "not match open activity %u",
+                              Proc, I, E.Id, OpenActivity);
+      ActivityDepth = 0;
+      OpenActivity = Trace::InvalidId;
+      break;
+    case EventKind::MessageSend:
+      ++Out.Sent[{E.Id, E.Bytes}];
+      break;
+    case EventKind::MessageRecv:
+      ++Out.Received[{E.Id, E.Bytes}];
+      break;
     }
-    if (!RegionStack.empty())
-      return makeCodedError(ErrorCode::StructuralError,
-                            "proc %u: region left open at end of trace",
-                            Proc);
-    if (ActivityDepth != 0)
-      return makeCodedError(ErrorCode::StructuralError,
-                            "proc %u: activity left open at end of trace",
-                            Proc);
   }
-
-  for (const auto &[Key, Balance] : MessageBalance) {
-    if (Balance == 0)
-      continue;
-    auto [From, To, Bytes] = Key;
+  if (!RegionStack.empty())
     return makeCodedError(ErrorCode::StructuralError,
-                          "unmatched message %u -> %u (%llu bytes): "
-                          "balance %lld",
-                          From, To, static_cast<unsigned long long>(Bytes),
-                          static_cast<long long>(Balance));
-  }
+                          "proc %u: region left open at end of trace", Proc);
+  if (ActivityDepth != 0)
+    return makeCodedError(ErrorCode::StructuralError,
+                          "proc %u: activity left open at end of trace",
+                          Proc);
   return Error::success();
+}
+
+/// The smallest (sender, receiver, bytes) key whose sends and receives
+/// disagree, with its balance (sends minus receives).
+struct Unmatched {
+  bool Found = false;
+  std::tuple<uint32_t, uint32_t, uint64_t> Key;
+  int64_t Balance = 0;
+
+  void keepSmaller(const Unmatched &O) {
+    if (O.Found && (!Found || O.Key < Key))
+      *this = O;
+  }
+};
+
+/// Balances every message key that processor \p Proc owns into \p Out:
+/// the keys it sent, and the keys it received that its sender never
+/// sent.  Every key has exactly one owner, so the minimum over all
+/// processors is the smallest unbalanced key of the trace.
+void findUnmatched(const std::vector<ProcCheck> &Checks, uint32_t Proc,
+                   Unmatched &Out) {
+  // A peer outside the trace can neither send nor receive.
+  auto countOf = [&](uint32_t Owner, const MessageTally ProcCheck::*Side,
+                     PeerBytes Key) -> int64_t {
+    if (Owner >= Checks.size())
+      return 0;
+    const MessageTally &Tally = Checks[Owner].*Side;
+    auto It = Tally.find(Key);
+    return It == Tally.end() ? 0 : It->second;
+  };
+  for (const auto &[Key, Sends] : Checks[Proc].Sent) {
+    int64_t Balance =
+        Sends - countOf(Key.Peer, &ProcCheck::Received, {Proc, Key.Bytes});
+    if (Balance != 0)
+      Out.keepSmaller({true, {Proc, Key.Peer, Key.Bytes}, Balance});
+  }
+  for (const auto &[Key, Receives] : Checks[Proc].Received)
+    if (countOf(Key.Peer, &ProcCheck::Sent, {Proc, Key.Bytes}) == 0)
+      Out.keepSmaller({true, {Key.Peer, Proc, Key.Bytes}, -Receives});
+}
+
+} // namespace
+
+Error Trace::validate(unsigned Threads) const {
+  // Each processor checks its own stream into its own slot; the lowest
+  // failing processor's first error wins, as in a processor-order walk.
+  std::vector<ProcCheck> Checks(numProcs());
+  parallelFor(numProcs(), Threads, [&](size_t Proc) {
+    ProcCheck &C = Checks[Proc];
+    if (Error Err = checkProcessor(events(static_cast<unsigned>(Proc)),
+                                   static_cast<unsigned>(Proc), C))
+      C.Err = Err.toParseError();
+  });
+  for (ProcCheck &C : Checks)
+    if (C.Err)
+      return Error::fromParse(std::move(*C.Err));
+
+  // Message matching: sends and receives of each (sender, receiver,
+  // bytes) key must agree.  Taking the minimum is order-insensitive,
+  // so the reported key is the same at any thread count.
+  Unmatched First = parallelReduce<Unmatched>(
+      numProcs(), Threads, Unmatched(),
+      [&](Unmatched &U, size_t Proc) {
+        findUnmatched(Checks, static_cast<uint32_t>(Proc), U);
+      },
+      [](Unmatched &Into, Unmatched &From) { Into.keepSmaller(From); });
+  if (!First.Found)
+    return Error::success();
+  auto [From, To, Bytes] = First.Key;
+  return makeCodedError(ErrorCode::StructuralError,
+                        "unmatched message %u -> %u (%llu bytes): "
+                        "balance %lld",
+                        From, To, static_cast<unsigned long long>(Bytes),
+                        static_cast<long long>(First.Balance));
 }

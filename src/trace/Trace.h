@@ -7,7 +7,7 @@
 /// \file
 /// The Trace container: named regions and activities plus per-processor
 /// event streams, with structural validation (balanced brackets, monotone
-/// per-processor time, matching message endpoints).
+/// per-processor time, matching message endpoints) run per processor.
 ///
 /// Events are stored struct-of-arrays: each processor's stream is four
 /// parallel columns (time, kind, id, bytes) rather than a vector of
@@ -187,7 +187,13 @@ public:
   ///    boundaries;
   ///  - every MessageSend has a matching MessageRecv on the peer with the
   ///    same byte count, and vice versa.
-  Error validate() const;
+  ///
+  /// Processors are checked concurrently on \p Threads threads (0 = all
+  /// hardware threads, 1 = serially on the calling thread).  The error is
+  /// the same at every thread count: the first structural error of the
+  /// lowest-numbered failing processor, else the unmatched message with
+  /// the smallest (sender, receiver, bytes).
+  Error validate(unsigned Threads = 1) const;
 
 private:
   std::vector<std::string> RegionNames;

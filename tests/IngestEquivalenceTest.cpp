@@ -19,6 +19,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "support/FileUtils.h"
+#include "support/Metrics.h"
 #include "support/ParseLimits.h"
 #include "trace/ParallelParse.h"
 #include "trace/TextScan.h"
@@ -123,6 +124,51 @@ std::string makeBigTrace(size_t Rounds) {
   return Text;
 }
 
+/// The same kind of rounds grouped by processor, as saveTrace writes
+/// them: each processor's events are contiguous, so processors straddle
+/// the shard boundaries and most shards hold only one or two of them.
+/// Processor 3 is declared but logs no events.
+std::string makeGroupedBigTrace(size_t Rounds) {
+  std::string Text = "LIMATRACE 1\nprocs 6\nregion 0 main\n"
+                     "activity 0 compute\n";
+  char Buf[128];
+  for (unsigned P = 0; P != 6; ++P) {
+    if (P == 3)
+      continue;
+    double T = 0.0;
+    for (size_t I = 0; I != Rounds; ++I) {
+      T += 0.001;
+      std::snprintf(Buf, sizeof(Buf),
+                    "re %u %.6f 0\nab %u %.6f 0\nae %u %.6f 0\n"
+                    "rx %u %.6f 0\nms %u %.6f %u 64\n",
+                    P, T, P, T + 0.1, P, T + 0.2, P, T + 0.3, P, T + 0.4,
+                    (P + 1) % 6);
+      Text += Buf;
+    }
+  }
+  return Text;
+}
+
+/// \p Text with a bad event line after every 163rd line, alternating a
+/// bad number and an unknown record type: more than
+/// ParseReport::MaxSamples drops, scattered over every shard.
+std::string pepper(const std::string &Text) {
+  std::string Peppered;
+  Peppered.reserve(Text.size() + 4096);
+  size_t LineIdx = 0;
+  size_t Pos = 0;
+  while (Pos < Text.size()) {
+    size_t Nl = Text.find('\n', Pos);
+    if (Nl == std::string::npos)
+      Nl = Text.size() - 1;
+    Peppered.append(Text, Pos, Nl - Pos + 1);
+    if (++LineIdx % 163 == 0)
+      Peppered += LineIdx % 2 ? "re 0 bogus 0\n" : "zz 0 1.0 0\n";
+    Pos = Nl + 1;
+  }
+  return Peppered;
+}
+
 TEST(IngestEquivalence, CorpusFixtures) {
   std::filesystem::path Dir =
       std::filesystem::path(LIMA_FUZZ_CORPUS_DIR) / "fuzz_trace_text";
@@ -178,6 +224,9 @@ TEST(IngestEquivalence, BigValidTraceShards) {
   std::string Text = makeBigTrace(800); // ~0.5 MB, 16000 events
   ASSERT_GT(Text.size(), size_t(64) * 1024);
   expectEquivalent(Text, "big-valid");
+  Text = makeGroupedBigTrace(700); // ~0.5 MB, 17500 events
+  ASSERT_GT(Text.size(), size_t(64) * 1024);
+  expectEquivalent(Text, "big-grouped");
 }
 
 TEST(IngestEquivalence, BigTraceStrictErrorDeepInside) {
@@ -192,24 +241,36 @@ TEST(IngestEquivalence, BigTraceStrictErrorDeepInside) {
 }
 
 TEST(IngestEquivalence, BigTraceLenientScatteredDrops) {
-  // More than ParseReport::MaxSamples bad lines scattered across the
-  // whole event section: drop counts and the first-16 sample list must
-  // merge back in file order at every thread count.
-  std::string Text = makeBigTrace(800);
-  std::string Peppered;
-  Peppered.reserve(Text.size() + 4096);
-  size_t LineIdx = 0;
-  size_t Pos = 0;
-  while (Pos < Text.size()) {
-    size_t Nl = Text.find('\n', Pos);
-    if (Nl == std::string::npos)
-      Nl = Text.size() - 1;
-    Peppered.append(Text, Pos, Nl - Pos + 1);
-    if (++LineIdx % 163 == 0)
-      Peppered += LineIdx % 2 ? "re 0 bogus 0\n" : "zz 0 1.0 0\n";
-    Pos = Nl + 1;
-  }
-  expectEquivalent(Peppered, "big-lenient-drops");
+  // Drop counts and the first-16 sample list must merge back in file
+  // order at every thread count.
+  expectEquivalent(pepper(makeBigTrace(800)), "big-lenient-drops");
+  expectEquivalent(pepper(makeGroupedBigTrace(700)),
+                   "big-grouped-lenient-drops");
+}
+
+TEST(IngestEquivalence, WideProcessorTableParsesUnsharded) {
+  // Every shard keeps columns for every declared processor.  With
+  // 100000 processors over half a megabyte of events those would
+  // outweigh the text, so the parser must not shard — while the same
+  // events under 4 processors do shard (lima.ingest.shards counts the
+  // shards of every sharded parse).
+  std::string Narrow = makeBigTrace(800);
+  std::string Wide = Narrow;
+  Wide.replace(Wide.find("procs 4"), 7, "procs 100000");
+  metrics::setEnabled(true);
+  metrics::Counter &Shards = metrics::counter("lima.ingest.shards");
+  [[maybe_unused]] uint64_t Before = Shards.value();
+  EXPECT_TRUE(static_cast<bool>(trace::parseTraceTextParallel(Wide, {}, 8)));
+#if LIMA_TELEMETRY
+  EXPECT_EQ(Shards.value(), Before);
+#endif
+  EXPECT_TRUE(
+      static_cast<bool>(trace::parseTraceTextParallel(Narrow, {}, 8)));
+#if LIMA_TELEMETRY
+  EXPECT_EQ(Shards.value(), Before + 8);
+#endif
+  metrics::setEnabled(false);
+  expectEquivalent(Wide, "wide-proc-table");
 }
 
 TEST(IngestEquivalence, AllocAccountingPinned) {

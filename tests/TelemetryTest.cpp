@@ -304,6 +304,30 @@ TEST(TelemetryTest, CountersAreAtomicAcrossThreadCounts) {
   }
 }
 
+TEST(TelemetryTest, StrictReductionSpansValidationInReduceStage) {
+  if (!TelemetryCompiled)
+    GTEST_SKIP() << "telemetry compiled out";
+  trace::Trace T = makeTrace(4, 10);
+  for (ParseMode Mode : {ParseMode::Strict, ParseMode::Lenient}) {
+    TelemetrySession Session;
+    core::ReductionOptions Reduction;
+    Reduction.Threads = 2;
+    Reduction.Mode = Mode;
+    (void)cantFail(core::reduceTrace(T, Reduction));
+    telemetry::setEnabled(false);
+    telemetry::Snapshot S = telemetry::collect();
+
+    unsigned Validations = 0;
+    for (const telemetry::SpanEvent &E : S.Events)
+      if (S.nameOf(E.Name) == "reduce.validate") {
+        ++Validations;
+        EXPECT_EQ(S.nameOf(E.Stage), "reduce");
+      }
+    // Lenient reductions skip validation altogether.
+    EXPECT_EQ(Validations, Mode == ParseMode::Strict ? 1u : 0u);
+  }
+}
+
 TEST(TelemetryTest, DisabledModeRecordsNothing) {
   telemetry::reset();
   ASSERT_FALSE(telemetry::enabled());

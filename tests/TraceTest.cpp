@@ -5,9 +5,12 @@
 //===----------------------------------------------------------------------===//
 
 #include "trace/Trace.h"
+#include "support/FileUtils.h"
 #include "trace/TraceIO.h"
 #include "TestHelpers.h"
+#include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <gtest/gtest.h>
 
 using namespace lima;
@@ -187,6 +190,139 @@ TEST(TraceValidationTest, DetectsByteCountMismatch) {
   T.append({0.3, 1, EventKind::MessageRecv, 0, 20});
   T.append({0.4, 1, EventKind::RegionExit, R, 0});
   EXPECT_TRUE(testutil::failed(T.validate()));
+}
+
+namespace {
+
+/// Expects validate() to fail with exactly \p Msg, as a structural
+/// error, at every thread count.
+void expectValidateError(const Trace &T, const std::string &Msg) {
+  for (unsigned Threads : {1u, 2u, 8u}) {
+    Error E = T.validate(Threads);
+    ASSERT_TRUE(static_cast<bool>(E)) << "threads=" << Threads;
+    EXPECT_EQ(E.code(), ErrorCode::StructuralError) << "threads=" << Threads;
+    EXPECT_EQ(E.message(), Msg) << "threads=" << Threads;
+  }
+}
+
+/// One message event: a send logged by From (Side +1) or a receive
+/// logged by To (Side -1).
+struct Message {
+  uint32_t From, To;
+  uint64_t Bytes;
+  int Side;
+};
+
+/// Four processors, each inside one region from t=0 to t=1, logging
+/// \p Messages in order in between.
+Trace makeMessageTrace(const std::vector<Message> &Messages) {
+  Trace T(4);
+  uint32_t R = T.addRegion("r");
+  T.addActivity("a");
+  for (uint32_t P = 0; P != 4; ++P)
+    T.append({0.0, P, EventKind::RegionEnter, R, 0});
+  double Time = 0.0;
+  for (const Message &M : Messages) {
+    Time += 0.01;
+    if (M.Side > 0)
+      T.append({Time, M.From, EventKind::MessageSend, M.To, M.Bytes});
+    else
+      T.append({Time, M.To, EventKind::MessageRecv, M.From, M.Bytes});
+  }
+  for (uint32_t P = 0; P != 4; ++P)
+    T.append({1.0, P, EventKind::RegionExit, R, 0});
+  return T;
+}
+
+} // namespace
+
+TEST(TraceValidationTest, LowestFailingProcessorWinsAtAnyThreadCount) {
+  // Proc 1 fails at its third event, proc 3 at its first, and proc 2
+  // has an unmatched send: proc 1's error is the one reported.
+  Trace T(4);
+  uint32_t R = T.addRegion("r");
+  uint32_t S = T.addRegion("s");
+  uint32_t A = T.addActivity("a");
+  T.append({0.0, 0, EventKind::RegionEnter, R, 0});
+  T.append({1.0, 0, EventKind::RegionExit, R, 0});
+  T.append({0.0, 1, EventKind::RegionEnter, R, 0});
+  T.append({0.5, 1, EventKind::RegionEnter, S, 0});
+  T.append({0.6, 1, EventKind::RegionExit, R, 0});
+  T.append({0.7, 1, EventKind::ActivityEnd, A, 0});
+  T.append({0.0, 2, EventKind::RegionEnter, R, 0});
+  T.append({0.5, 2, EventKind::MessageSend, 3, 99});
+  T.append({1.0, 2, EventKind::RegionExit, R, 0});
+  T.append({0.0, 3, EventKind::RegionExit, R, 0});
+  expectValidateError(T, "proc 1 event 2: region exit id 0 does not match "
+                         "innermost open region 1");
+}
+
+TEST(TraceValidationTest, EndOfStreamErrorOfLowerProcessorWins) {
+  // Proc 0's only fault shows after its last event; proc 2's shows at
+  // its first event.
+  Trace T(3);
+  uint32_t R = T.addRegion("r");
+  uint32_t A = T.addActivity("a");
+  T.append({0.0, 0, EventKind::RegionEnter, R, 0});
+  T.append({0.1, 0, EventKind::ActivityBegin, A, 0});
+  T.append({0.2, 0, EventKind::ActivityEnd, A, 0});
+  T.append({2.0, 2, EventKind::RegionEnter, R, 0});
+  T.append({1.0, 2, EventKind::RegionExit, R, 0});
+  expectValidateError(T, "proc 0: region left open at end of trace");
+}
+
+TEST(TraceValidationTest, SmallestUnbalancedMessageKeyWins) {
+  Trace Balanced = makeMessageTrace(
+      {{0, 1, 64, +1}, {0, 1, 64, +1}, {0, 1, 64, -1}, {0, 1, 64, -1}});
+  EXPECT_FALSE(testutil::failed(Balanced.validate(1)));
+  EXPECT_FALSE(testutil::failed(Balanced.validate(8)));
+
+  std::vector<Message> Messages = {
+      // A balanced pair, then a later pair (3 -> 0) with one unreceived
+      // send.
+      {0, 1, 64, +1}, {0, 1, 64, -1}, {3, 0, 100, +1},
+      // One pair (1 -> 3) with two byte counts, both off: 32 bytes sent
+      // twice and received once, logged first; 16 bytes sent once and
+      // received three times.
+      {1, 3, 32, +1}, {1, 3, 32, +1}, {1, 3, 16, +1}, {1, 3, 32, -1},
+      {1, 3, 16, -1}, {1, 3, 16, -1}, {1, 3, 16, -1},
+      // A receive-only key (1 -> 2) that only the receiver sees.
+      {1, 2, 8, -1}};
+  expectValidateError(makeMessageTrace(Messages),
+                      "unmatched message 1 -> 2 (8 bytes): balance -1");
+  Messages.pop_back(); // Without the receive-only key.
+  expectValidateError(makeMessageTrace(Messages),
+                      "unmatched message 1 -> 3 (16 bytes): balance -2");
+  Messages.resize(3); // Without the (1 -> 3) pair.
+  expectValidateError(makeMessageTrace(Messages),
+                      "unmatched message 3 -> 0 (100 bytes): balance 1");
+}
+
+TEST(TraceValidationTest, CorpusOutcomesMatchAcrossThreadCounts) {
+  std::filesystem::path Dir =
+      std::filesystem::path(LIMA_FUZZ_CORPUS_DIR) / "fuzz_trace_text";
+  std::vector<std::filesystem::path> Files;
+  for (const auto &Entry : std::filesystem::directory_iterator(Dir))
+    Files.push_back(Entry.path());
+  std::sort(Files.begin(), Files.end());
+  unsigned Parsed = 0;
+  for (const auto &File : Files) {
+    ParseReport Report;
+    ParseOptions Options;
+    Options.Mode = ParseMode::Lenient;
+    Options.Report = &Report;
+    Expected<Trace> T =
+        parseTraceText(cantFail(readFile(File.string())), Options);
+    if (!T) {
+      T.takeError().consume();
+      continue;
+    }
+    ++Parsed;
+    EXPECT_EQ(testutil::messageOf(T->validate(1)),
+              testutil::messageOf(T->validate(8)))
+        << File.filename();
+  }
+  EXPECT_GT(Parsed, 0u);
 }
 
 //===----------------------------------------------------------------------===//
