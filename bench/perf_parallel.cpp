@@ -120,6 +120,34 @@ trace::Trace makeTrace(unsigned Procs, unsigned Rounds) {
   return T;
 }
 
+/// \p T as LIMATRACE text with every time printed "%.17g" instead of
+/// the writers' "%.9f": the same events, but about nine lines in ten
+/// run most of the canonical fast path and are then declined to the
+/// generic path, with more than 19 digits or a mantissa above 2^53 (the
+/// rest are times "%.17g" prints short).
+std::string writeTraceTextLongTimes(const trace::Trace &T) {
+  trace::Trace Header(T.numProcs());
+  for (const std::string &Name : T.regionNames())
+    Header.addRegion(Name);
+  for (const std::string &Name : T.activityNames())
+    Header.addActivity(Name);
+  std::string Text = trace::writeTraceText(Header);
+  char Buf[128];
+  for (unsigned P = 0; P != T.numProcs(); ++P)
+    for (const trace::Event &E : T.events(P)) {
+      bool Message = E.Kind == trace::EventKind::MessageSend ||
+                     E.Kind == trace::EventKind::MessageRecv;
+      int Len = std::snprintf(Buf, sizeof(Buf),
+                              Message ? "%.*s %u %.17g %u %llu\n"
+                                      : "%.*s %u %.17g %u\n",
+                              2, trace::eventKindMnemonic(E.Kind).data(), P,
+                              E.Time, E.Id,
+                              static_cast<unsigned long long>(E.Bytes));
+      Text.append(Buf, static_cast<size_t>(Len));
+    }
+  return Text;
+}
+
 /// Milliseconds of the best of \p Reps runs of \p Fn.
 template <typename Fn> double timeMs(unsigned Reps, Fn &&Body) {
   double Best = 0.0;
@@ -596,12 +624,17 @@ int main(int Argc, char **Argv) {
   // --- Ingestion fast path ---------------------------------------------
   // Old parser vs the single-pass scanner vs the sharded parallel
   // parser, as events/s and MB/s over the same in-memory bytes (the
-  // file-level mmap savings come on top of these).
+  // file-level mmap savings come on top of these).  The scanner_fallback
+  // leg prices input the canonical fast path declines: the scanner on
+  // the same events with "%.17g" times, where the miss rule soon stops
+  // trying the fast path.
   unsigned HwThreads = hardwareThreads();
-  double IngestBytes = static_cast<double>(TraceText.size());
-  auto ingestLeg = [&](const char *Name, double WallMs, double BaseMs) {
+  std::string FallbackText = writeTraceTextLongTimes(T);
+  auto ingestLeg = [&](const char *Name, double WallMs, double BaseMs,
+                       const std::string &Bytes) {
     double EventsPerS = WallMs > 0.0 ? Events / (WallMs / 1e3) : 0.0;
-    double MbPerS = WallMs > 0.0 ? IngestBytes / 1e6 / (WallMs / 1e3) : 0.0;
+    double MbPerS =
+        WallMs > 0.0 ? Bytes.size() / 1e6 / (WallMs / 1e3) : 0.0;
     double Speedup = WallMs > 0.0 ? BaseMs / WallMs : 0.0;
     OS << "ingest " << leftJustify(Name, 12) << formatFixed(WallMs, 2)
        << " ms, " << formatFixed(EventsPerS / 1e6, 2) << " Mevents/s, "
@@ -619,6 +652,9 @@ int main(int Argc, char **Argv) {
   double ScannerMs = timeMs(
       Reps,
       [&] { (void)cantFail(trace::parseTraceText(TraceText, StrictParse)); });
+  double FallbackMs = timeMs(Reps, [&] {
+    (void)cantFail(trace::parseTraceText(FallbackText, StrictParse));
+  });
   double Par1Ms = timeMs(Reps, [&] {
     (void)cantFail(trace::parseTraceTextParallel(TraceText, StrictParse, 1));
   });
@@ -626,17 +662,23 @@ int main(int Argc, char **Argv) {
     (void)cantFail(
         trace::parseTraceTextParallel(TraceText, StrictParse, HwThreads));
   });
-  std::string LegacyJson = ingestLeg("legacy", LegacyMs, LegacyMs);
-  std::string ScannerJson = ingestLeg("scanner", ScannerMs, LegacyMs);
-  std::string Par1Json = ingestLeg("sharded@1", Par1Ms, LegacyMs);
+  std::string LegacyJson =
+      ingestLeg("legacy", LegacyMs, LegacyMs, TraceText);
+  std::string ScannerJson =
+      ingestLeg("scanner", ScannerMs, LegacyMs, TraceText);
+  std::string FallbackJson =
+      ingestLeg("fallback", FallbackMs, LegacyMs, FallbackText);
+  std::string Par1Json = ingestLeg("sharded@1", Par1Ms, LegacyMs, TraceText);
   std::string ParHwJson =
       ingestLeg(("sharded@" + std::to_string(HwThreads)).c_str(), ParHwMs,
-                LegacyMs);
+                LegacyMs, TraceText);
   std::string IngestJson =
       "{\"events\": " + std::to_string(Events) +
       ", \"bytes\": " + std::to_string(TraceText.size()) +
       ", \"hardware_threads\": " + std::to_string(HwThreads) +
       ", \"legacy\": " + LegacyJson + ", \"scanner\": " + ScannerJson +
+      ", \"scanner_fallback\": " + FallbackJson +
+      ", \"fallback_bytes\": " + std::to_string(FallbackText.size()) +
       ", \"sharded_1\": " + Par1Json + ", \"sharded_hw\": " + ParHwJson +
       ", \"lenient_overhead_pct\": " + formatFixed(TextLenientPct, 2) +
       ", \"lenient_overhead_target_pct\": " +

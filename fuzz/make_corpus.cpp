@@ -65,6 +65,76 @@ Trace makeSeedTrace() {
   return T;
 }
 
+/// Event lines at and just past each limit of the canonical text fast
+/// path (trace/TextScan.h), under the tables fuzz_trace_text's
+/// differential check uses (64 processors, 8 regions, 4 activities).
+/// Lines the generic path accepts come first, so a strict parse reaches
+/// all of them; the rejected ones follow for lenient mode.  A copy is
+/// checked in as fuzz/corpus/fuzz_trace_text/canonical-edges.trace.
+std::string canonicalEdgesTrace() {
+  std::string Text = "LIMATRACE 1\nprocs 64\n";
+  for (int I = 0; I != 8; ++I)
+    Text += "region " + std::to_string(I) + " r" + std::to_string(I) + "\n";
+  for (int I = 0; I != 4; ++I)
+    Text += "activity " + std::to_string(I) + " a" + std::to_string(I) + "\n";
+  Text += "# accepted by the generic path\n"
+          "re 12 0.000420751 2\n"
+          "ms 63 1.250000000 0 18446744073709551615\n"
+          "mr 0 1.250000000 63 9999999999999999999\n"
+          "re 0 9007199254740992 7\n"
+          "re 0 90071992547409.92 7\n"
+          "re 0 9007199254740993 7\n"
+          "re 0 90071992547409.93 7\n"
+          "re 0 9007199254740993e-10 7\n"
+          "re 0 0.000000000000000001 0\n"
+          "re 0 0.0000000000000000001 0\n"
+          "re 0 18446744073709551617e-10 0\n"
+          "re 0000000000000000001 1.0 0\n"
+          "re 00000000000000000001 1.0 0\n"
+          "re 0 1.0 0000000000000000007\n"
+          "re 0 1.0 00000000000000000007\n"
+          "re 0 1e22 0\n"
+          "re 0 1e23 0\n"
+          "re 0 3e23 0\n"
+          "re 0 1e-22 0\n"
+          "re 0 1e-23 0\n"
+          "ab 0 4.20751e-05 3\n"
+          "ae 0 1E5 3\n"
+          "rx 0 15e+1 0\n"
+          "re 0 0e50 0\n"
+          "re 0 5. 0\n"
+          "re 0 .5 0\n"
+          "re 0 +1.5 0\n"
+          "re 0 -0.0 0\n"
+          "re 0 0x1p3 0\n"
+          "re 00 007.50 00\n"
+          "re 0 1.5 0\r\n"
+          "ms 0 1.5 1 64\t\n"
+          "re 0 1.5 0 \n"
+          "re  0 1.5 0\n"
+          "re 0 1.5  0\n"
+          "re\t0 1.5 0\n"
+          "re 0 1 0\n"
+          "# rejected by the generic path\n"
+          "re 18446744073709551617 1.0 0\n"
+          "ms 0 1.0 1 18446744073709551616\n"
+          "re 0 1.0 4294967295\n"
+          "re 0 1.0 4294967296\n"
+          "ms 0 1.0 4294967297 64\n"
+          "ab 0 1.0 4\n"
+          "re 64 1.0 0\n"
+          "re 0 nan 0\n"
+          "re 0 1e 0\n"
+          "re 0 1.5.5 0\n"
+          "re 0 1.5 0x\n"
+          "re 0 1.5 0 junk\n"
+          "ms 0 1.0 1\n"
+          "re 0 1.0\n"
+          "RE 0 1.0 0\n"
+          "rex 0 1.0 0\n";
+  return Text;
+}
+
 constexpr size_t FooterSize = 24;
 
 /// Reads the footer's u64 index-offset field of a LIMB v2 buffer.
@@ -132,6 +202,7 @@ int main(int Argc, char **Argv) {
   Ok &= write(TextDir / "bad-magic.trace", "LIMATRAC" + Text.substr(8));
   Ok &= write(TextDir / "huge-procs.trace",
               "LIMATRACE 1\nprocs 99999999\n");
+  Ok &= write(TextDir / "canonical-edges.trace", canonicalEdgesTrace());
 
   // --- LIMB binary ----------------------------------------------------
   std::string Binary = trace::writeTraceBinary(T);

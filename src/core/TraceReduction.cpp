@@ -41,18 +41,23 @@ bool foldProcessor(const trace::Trace &T, unsigned Proc,
 
   // In lenient mode records the skipped event and keeps folding; in
   // strict mode fills ErrOut and stops.
-  auto malformed = [&](size_t Index, const char *What) {
+  auto reject = [&](ParseError PE) {
     if (Lenient) {
-      Report.addDrop({ErrorCode::StructuralError, 0, NoByteOffset,
-                      "proc " + std::to_string(Proc) + " event " +
-                          std::to_string(Index) + ": " + What});
+      Report.addDrop(std::move(PE));
       return true;
     }
-    ErrOut = {ErrorCode::StructuralError, 0, NoByteOffset,
-              "proc " + std::to_string(Proc) + " event " +
-                  std::to_string(Index) + ": " + What};
+    ErrOut = std::move(PE);
     return false;
   };
+  auto malformed = [&](size_t Index, const char *What) {
+    return reject({ErrorCode::StructuralError, 0, NoByteOffset,
+                   "proc " + std::to_string(Proc) + " event " +
+                       std::to_string(Index) + ": " + What});
+  };
+  // Latest time of a kept event, lenient mode only.  Strict mode ran
+  // Trace::validate first; lenient mode did not, so the fold drops a
+  // step back in time itself, by validate's rule and with its message.
+  double LastTime = 0.0;
 
   // Read the stream through its columns: the fold touches time, kind
   // and id but never the message byte counts, so the SoA layout keeps
@@ -65,6 +70,15 @@ bool foldProcessor(const trace::Trace &T, unsigned Proc,
   for (size_t Index = 0; Index != Stream.size(); ++Index) {
     const Event E{Times[Index], Proc, Kinds[Index], Ids[Index], 0};
     Span = std::max(Span, E.Time);
+    if (Lenient && E.Time + trace::Trace::BackwardTimeTolerance < LastTime) {
+      if (reject(makeCodedError(ErrorCode::StructuralError,
+                                "proc %u event %zu: time goes backwards "
+                                "(%.9f after %.9f)",
+                                Proc, Index, E.Time, LastTime)
+                     .toParseError()))
+        continue;
+      return false;
+    }
     switch (E.Kind) {
     case EventKind::RegionEnter:
       if (Options.AttributeGaps && !Stack.empty() &&
@@ -110,8 +124,10 @@ bool foldProcessor(const trace::Trace &T, unsigned Proc,
           continue;
         return false;
       }
+      // An end may step back behind its begin by up to validate's
+      // tolerance; that interval is empty, not negative.
       Cube.accumulate(Stack.back().Region, OpenActivity, Proc,
-                      E.Time - ActivityBeginTime);
+                      std::max(0.0, E.Time - ActivityBeginTime));
       Stack.back().Cursor = E.Time;
       OpenActivity = trace::Trace::InvalidId;
       break;
@@ -119,6 +135,8 @@ bool foldProcessor(const trace::Trace &T, unsigned Proc,
     case EventKind::MessageRecv:
       break; // Message endpoints carry no attributable duration.
     }
+    if (Lenient)
+      LastTime = std::max(LastTime, E.Time);
   }
   return true;
 }

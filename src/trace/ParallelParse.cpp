@@ -149,6 +149,7 @@ void parseShard(std::string_view Text, Shard &S,
   const ParseLimits &Limits = Options.Limits;
   size_t LineNo = S.FirstLineNo - 1;
   uint64_t Records = 0; // flushed to S.Report after the walk
+  unsigned CanonicalMisses = 0;
   S.Procs.resize(Tables.NumProcs);
 
   forEachSegment(Text, S, [&](size_t Begin, size_t End) {
@@ -165,19 +166,21 @@ void parseShard(std::string_view Text, Shard &S,
     std::string_view Line = scan::skipLeadingSpace(RawLine);
     if (Line.empty() || Line.front() == '#')
       return true;
-    std::string_view Fields[scan::MaxFields];
-    size_t NumFields = scan::splitFields(Line, Fields);
     ++Records;
     Event E;
-    Error RecordErr =
-        scan::parseEventRecord(Fields, NumFields, Tables, LineNo,
-                               LineOffset, E);
-    if (RecordErr) {
-      ParseError PE = RecordErr.toParseError();
-      if (PE.Code != ErrorCode::MissingSection && Local.dropRecord(PE))
-        return true;
-      S.Err = std::move(PE);
-      return false;
+    if (!scan::tryCanonicalEvent(Line, Tables, E, CanonicalMisses)) {
+      std::string_view Fields[scan::MaxFields];
+      size_t NumFields = scan::splitFields(Line, Fields);
+      Error RecordErr =
+          scan::parseEventRecord(Fields, NumFields, Tables, LineNo,
+                                 LineOffset, E);
+      if (RecordErr) {
+        ParseError PE = RecordErr.toParseError();
+        if (PE.Code != ErrorCode::MissingSection && Local.dropRecord(PE))
+          return true;
+        S.Err = std::move(PE);
+        return false;
+      }
     }
     S.Procs[E.Proc].append(E);
     ++S.NumEvents;

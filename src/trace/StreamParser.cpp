@@ -27,12 +27,32 @@ Error StreamParser::parseLine(std::string_view RawLine,
     return makeParseError(ErrorCode::BadNumber, LineNo, LineOffset,
                           "trace line %zu: %s", LineNo, E.message().c_str());
   };
+  // Accepted events, from either path, count against the limit here.
+  auto append = [&](const Event &E) {
+    if (++TotalEvents > Limits.MaxEvents)
+      return fail(ErrorCode::LimitExceeded, "event count exceeds the limit");
+    Out.push_back(E);
+    return Error::success();
+  };
 
   if (RawLine.size() > Limits.MaxLineBytes)
     return fail(ErrorCode::LimitExceeded, "line exceeds the length limit");
   std::string_view Line = scan::skipLeadingSpace(RawLine);
   if (Line.empty() || Line.front() == '#')
     return Error::success();
+  scan::EventTables Tables;
+  Tables.SawProcs = SawProcs;
+  Tables.NumProcs = NumProcs;
+  Tables.NumRegions = Regions.size();
+  Tables.NumActivities = Activities.size();
+  // Past 'procs', a canonical event line needs no tokenizing; every
+  // other line, and every error, takes the generic path below.
+  Event E;
+  if (SawProcs && scan::tryCanonicalEvent(Line, Tables, E, CanonicalMisses)) {
+    if (Options.Report)
+      ++Options.Report->TotalRecords;
+    return append(E);
+  }
   std::string_view Fields[scan::MaxFields];
   size_t NumFields = scan::splitFields(Line, Fields);
 
@@ -97,12 +117,6 @@ Error StreamParser::parseLine(std::string_view RawLine,
   // with the batch and sharded parsers so the three cannot drift.
   if (Options.Report)
     ++Options.Report->TotalRecords;
-  scan::EventTables Tables;
-  Tables.SawProcs = SawProcs;
-  Tables.NumProcs = NumProcs;
-  Tables.NumRegions = Regions.size();
-  Tables.NumActivities = Activities.size();
-  Event E;
   Error RecordErr =
       scan::parseEventRecord(Fields, NumFields, Tables, LineNo, LineOffset, E);
   if (RecordErr) {
@@ -113,10 +127,7 @@ Error StreamParser::parseLine(std::string_view RawLine,
     }
     return Error::fromParse(std::move(PE));
   }
-  if (++TotalEvents > Limits.MaxEvents)
-    return fail(ErrorCode::LimitExceeded, "event count exceeds the limit");
-  Out.push_back(E);
-  return Error::success();
+  return append(E);
 }
 
 // lima.stream.events_total is bumped once per feed() or finish() call

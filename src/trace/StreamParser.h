@@ -75,6 +75,9 @@ private:
   std::vector<std::string> Activities;
   uint64_t TotalEvents = 0;
   uint64_t AllocBytes = 0;
+  /// The canonical fast path's miss count (scan::tryCanonicalEvent);
+  /// at 64 it is not tried again on this stream.
+  unsigned CanonicalMisses = 0;
 };
 
 } // namespace trace

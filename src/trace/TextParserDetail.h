@@ -108,6 +108,7 @@ private:
   uint64_t TotalEvents = 0;
   uint64_t AllocBytes = 0;
   uint64_t Records = 0;
+  unsigned CanonicalMisses = 0; ///< See scan::tryCanonicalEvent.
 };
 
 } // namespace detail

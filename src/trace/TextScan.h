@@ -8,8 +8,14 @@
 /// The allocation-free scanning core shared by every LIMATRACE text
 /// consumer — the batch parser (parseTraceText), the sharded parallel
 /// parser (parseTraceTextParallel) and the incremental StreamParser.
-/// Three layers:
+/// Four layers:
 ///
+///  - scanCanonicalEvent: a one-pass recognizer for the event lines
+///    every LIMA writer prints.  Each consumer tries it first on an
+///    event-section line; it either produces the exact Event the
+///    generic path below would produce, or returns false and leaves
+///    the line to that path.  It never decides an error: every drop,
+///    message and count still comes from parseEventRecord.
 ///  - splitFields: an in-place cursor tokenizer that replaces the
 ///    per-line splitWhitespace() vector (one heap allocation per line)
 ///    with a fixed field array on the caller's stack;
@@ -24,6 +30,26 @@
 ///    three consumers cannot drift apart in error codes, messages or
 ///    range checks.
 ///
+/// The canonical grammar (anything else returns false):
+///
+///   line   := mn ' ' uint ' ' time ' ' uint [' ' uint] space*
+///   mn     := re | rx | ab | ae | ms | mr   (the 5th field iff ms/mr)
+///   uint   := 1-19 digits                   (so it cannot overflow)
+///   time   := digits ['.' digits] [('e'|'E') ['+'|'-'] digits]
+///
+/// with single-space separators (trailing whitespace, such as a CR, is
+/// what splitFields ignores too) and every range check of
+/// parseEventRecord.  A time is accepted only with at most 19 digits
+/// (leading zeros included), a decimal mantissa M <= 2^53 and an
+/// effective power of ten |p| <= 22.  Then M and 10^|p| are both exact
+/// doubles and the value is one IEEE operation, M * 10^p or M / 10^-p,
+/// whose correctly rounded result is the correctly rounded decimal:
+/// exactly what from_chars returns (Clinger's fast path).  Never a
+/// multiply by a reciprocal power, which is not exact.  There is no
+/// sign, so the result is finite, non-negative, never -0 and never
+/// subnormal: every check scanDouble and parseEventRecord apply to a
+/// time holds by construction.
+///
 /// Everything here is internal to lima_trace; no stability promises.
 ///
 //===----------------------------------------------------------------------===//
@@ -34,9 +60,12 @@
 #include "support/Error.h"
 #include "support/StringUtils.h"
 #include "trace/Event.h"
+#include <bit>
+#include <cfloat>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -213,6 +242,236 @@ inline Error parseEventRecord(const std::string_view *Fields,
     E.Bytes = *BytesOrErr;
   }
   return Error::success();
+}
+
+//===----------------------------------------------------------------------===//
+// The canonical-line fast path (grammar and exactness argument in the
+// file comment).
+//===----------------------------------------------------------------------===//
+
+/// Digits a canonical number may have: 10^19 - 1 < 2^64, so a field
+/// (or a time's mantissa) of at most this many digits cannot overflow.
+inline constexpr unsigned MaxCanonicalDigits = 19;
+
+/// Largest time mantissa converted exactly: every integer up to 2^53 is
+/// a double.
+inline constexpr uint64_t MaxExactMantissa = uint64_t(1) << 53;
+
+/// 10^0 .. 10^22: 5^22 < 2^53, so each of these literals is the power
+/// itself, not a rounding of it (10^23 is the first that is not).
+inline constexpr double ExactPowersOf10[] = {
+    1e0,  1e1,  1e2,  1e3,  1e4,  1e5,  1e6,  1e7,  1e8,  1e9,  1e10, 1e11,
+    1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22};
+inline constexpr int MaxExactPowerOf10 = 22;
+
+/// One operation is one rounding only when doubles are evaluated in
+/// double precision (not the x87's extended registers); elsewhere the
+/// fast path stays off and every line takes the generic path.
+inline constexpr bool ExactDoubleArithmetic = FLT_EVAL_METHOD == 0;
+
+inline bool isDigitByte(char C) { return C >= '0' && C <= '9'; }
+
+/// True when all eight bytes of \p Block are ASCII digits: each byte's
+/// high nibble is 3, and adding 6 keeps it 3 (low nibble at most 9).
+/// A carry between bytes needs a byte >= 0xFA, which fails on its own.
+inline bool isEightDigits(uint64_t Block) {
+  return ((Block & 0xF0F0F0F0F0F0F0F0) |
+          (((Block + 0x0606060606060606) & 0xF0F0F0F0F0F0F0F0) >> 4)) ==
+         0x3333333333333333;
+}
+
+/// The value of eight ASCII digits loaded little-endian (first digit in
+/// the lowest byte), combined pairwise: digits into 2-digit values in
+/// the even bytes, those into 4-digit values in the even 16-bit lanes,
+/// those into the 8-digit value.  No lane ever carries into the next.
+inline uint32_t eightDigitsValue(uint64_t Block) {
+  Block -= 0x3030303030303030;
+  Block = (Block * 10 + (Block >> 8)) & 0x00FF00FF00FF00FF;
+  Block = (Block * 100 + (Block >> 16)) & 0x0000FFFF0000FFFF;
+  return static_cast<uint32_t>(Block * 10000 + (Block >> 32));
+}
+
+/// Appends the digit run at \p P to \p Value, advancing \p P past it and
+/// counting the digits in \p Digits.  Returns false once the count
+/// passes MaxCanonicalDigits, before Value can overflow.  Whole 8-digit
+/// blocks are read eight bytes at a time when \p Blocks is set (only
+/// ever inside [P, End), so never past the line).
+inline bool readDigits(const char *&P, const char *End, uint64_t &Value,
+                       unsigned &Digits, bool Blocks = false) {
+  if constexpr (std::endian::native == std::endian::little) {
+    while (Blocks && End - P >= 8 && Digits + 8 <= MaxCanonicalDigits) {
+      uint64_t Block;
+      std::memcpy(&Block, P, sizeof(Block));
+      if (!isEightDigits(Block))
+        break;
+      Value = Value * 100000000 + eightDigitsValue(Block);
+      Digits += 8;
+      P += 8;
+    }
+  }
+  for (; P != End && isDigitByte(*P); ++P) {
+    if (++Digits > MaxCanonicalDigits)
+      return false;
+    Value = Value * 10 + static_cast<unsigned>(*P - '0');
+  }
+  return true;
+}
+
+/// A canonical <uint>: 1-19 digits.
+inline bool readCanonicalUnsigned(const char *&P, const char *End,
+                                  uint64_t &Value) {
+  Value = 0;
+  unsigned Digits = 0;
+  return readDigits(P, End, Value, Digits) && Digits != 0;
+}
+
+/// A canonical <time>, converted exactly or not at all.
+inline bool readCanonicalTime(const char *&P, const char *End,
+                              double &Value) {
+  uint64_t Mantissa = 0;
+  unsigned Digits = 0;
+  if (!readDigits(P, End, Mantissa, Digits) || Digits == 0)
+    return false;
+  int Power = 0;
+  if (P != End && *P == '.') {
+    ++P;
+    unsigned IntegerDigits = Digits;
+    if (!readDigits(P, End, Mantissa, Digits, /*Blocks=*/true) ||
+        Digits == IntegerDigits)
+      return false;
+    Power = -static_cast<int>(Digits - IntegerDigits);
+  }
+  if (P != End && (*P == 'e' || *P == 'E')) {
+    ++P;
+    bool Negative = P != End && *P == '-';
+    if (P != End && (*P == '+' || *P == '-'))
+      ++P;
+    const char *ExponentBegin = P;
+    // Saturates far beyond any accepted power; the walk still consumes
+    // every digit so the end-of-field check sees the next byte.
+    int Exponent = 0;
+    for (; P != End && isDigitByte(*P); ++P)
+      if (Exponent < 10000)
+        Exponent = Exponent * 10 + (*P - '0');
+    if (P == ExponentBegin)
+      return false;
+    Power += Negative ? -Exponent : Exponent;
+  }
+  if (Mantissa > MaxExactMantissa || Power < -MaxExactPowerOf10 ||
+      Power > MaxExactPowerOf10)
+    return false;
+  double M = static_cast<double>(Mantissa);
+  Value = Power >= 0 ? M * ExactPowersOf10[Power]
+                     : M / ExactPowersOf10[-Power];
+  return true;
+}
+
+/// Consumes the single space between two canonical fields.
+inline bool readSeparator(const char *&P, const char *End) {
+  if (P == End || *P != ' ')
+    return false;
+  ++P;
+  return true;
+}
+
+/// Tries \p Line (already left-trimmed) as a canonical event line.  On
+/// true, \p E holds exactly what parseEventRecord would have stored for
+/// this line (Bytes is written only for message events, as there); on
+/// false nothing was written and the caller runs the generic path.
+inline bool scanCanonicalEvent(std::string_view Line,
+                               const EventTables &Tables, Event &E) {
+  // The shortest canonical line is "re 0 0 0".
+  if (!ExactDoubleArithmetic || !Tables.SawProcs || Line.size() < 8 ||
+      Line[2] != ' ')
+    return false;
+  EventKind Kind;
+  size_t IdLimit;
+  switch ((static_cast<unsigned char>(Line[0]) << 8) |
+          static_cast<unsigned char>(Line[1])) {
+  case ('r' << 8) | 'e':
+    Kind = EventKind::RegionEnter;
+    IdLimit = Tables.NumRegions;
+    break;
+  case ('r' << 8) | 'x':
+    Kind = EventKind::RegionExit;
+    IdLimit = Tables.NumRegions;
+    break;
+  case ('a' << 8) | 'b':
+    Kind = EventKind::ActivityBegin;
+    IdLimit = Tables.NumActivities;
+    break;
+  case ('a' << 8) | 'e':
+    Kind = EventKind::ActivityEnd;
+    IdLimit = Tables.NumActivities;
+    break;
+  case ('m' << 8) | 's':
+    Kind = EventKind::MessageSend;
+    IdLimit = Tables.NumProcs;
+    break;
+  case ('m' << 8) | 'r':
+    Kind = EventKind::MessageRecv;
+    IdLimit = Tables.NumProcs;
+    break;
+  default:
+    return false;
+  }
+  bool IsMessage =
+      Kind == EventKind::MessageSend || Kind == EventKind::MessageRecv;
+
+  const char *P = Line.data() + 3;
+  const char *End = Line.data() + Line.size();
+  uint64_t Proc = 0, Id = 0, Bytes = 0;
+  double Time = 0.0;
+  if (!readCanonicalUnsigned(P, End, Proc) || !readSeparator(P, End) ||
+      !readCanonicalTime(P, End, Time) || !readSeparator(P, End) ||
+      !readCanonicalUnsigned(P, End, Id))
+    return false;
+  if (IsMessage &&
+      (!readSeparator(P, End) || !readCanonicalUnsigned(P, End, Bytes)))
+    return false;
+  for (; P != End; ++P)
+    if (!isSpaceByte(*P))
+      return false;
+  if (Proc >= Tables.NumProcs || Id > UINT32_MAX || Id >= IdLimit)
+    return false;
+
+  E.Kind = Kind;
+  E.Proc = static_cast<uint32_t>(Proc);
+  E.Time = Time;
+  E.Id = static_cast<uint32_t>(Id);
+  if (IsMessage)
+    E.Bytes = Bytes;
+  return true;
+}
+
+/// How far the event-shaped lines ("<mn> ...") the fast path declined
+/// may outnumber those it accepted before a consumer stops trying it:
+/// 64 misses in a row, or more misses than hits for long enough.  A
+/// declined line pays the fast path's work on top of the generic
+/// path's, about a third more on input whose times another writer
+/// printed with more digits (where a few short times still hit, so a
+/// hit must not wipe the count).
+inline constexpr unsigned MaxCanonicalMisses = 64;
+
+/// scanCanonicalEvent behind the miss rule.  Each consumer keeps one
+/// \p Misses counter (the sharded parser one per shard): a miss adds
+/// one, a hit takes one back, and once it reaches MaxCanonicalMisses
+/// the fast path is not tried again.  Declarations are declined at
+/// their third byte, so they do not count.  Whether the fast path runs
+/// never changes a result, only what the parse costs.
+inline bool tryCanonicalEvent(std::string_view Line,
+                              const EventTables &Tables, Event &E,
+                              unsigned &Misses) {
+  if (Misses == MaxCanonicalMisses)
+    return false;
+  if (scanCanonicalEvent(Line, Tables, E)) {
+    if (Misses != 0)
+      --Misses;
+    return true;
+  }
+  if (Line.size() > 2 && Line[2] == ' ')
+    ++Misses;
+  return false;
 }
 
 /// Heap bytes a registered name of \p Len bytes actually costs: the

@@ -155,7 +155,7 @@ Error checkProcessor(const Trace::EventsRef Stream, unsigned Proc,
                             "proc %u event %zu: time %.9f is not finite "
                             "and non-negative",
                             Proc, I, E.Time);
-    if (E.Time + 1e-12 < LastTime)
+    if (E.Time + Trace::BackwardTimeTolerance < LastTime)
       return makeCodedError(
           ErrorCode::StructuralError,
           "proc %u event %zu: time goes backwards (%.9f after %.9f)", Proc,

@@ -151,6 +151,10 @@ public:
 
   /// Looks up a region id by name; SIZE_MAX sentinel when absent.
   static constexpr uint32_t InvalidId = UINT32_MAX;
+
+  /// How far an event may step back behind its processor's latest
+  /// earlier event before validate calls it out of order.
+  static constexpr double BackwardTimeTolerance = 1e-12;
   uint32_t findRegion(std::string_view Name) const;
   uint32_t findActivity(std::string_view Name) const;
 

@@ -134,12 +134,30 @@ Error detail::TextTraceParser::consumeLine() {
     return makeParseError(ErrorCode::BadNumber, LineNo, LineOffset,
                           "trace line %zu: %s", LineNo, E.message().c_str());
   };
+  // Accepted events, from either path, count against the limits here.
+  auto append = [&](const Event &E) {
+    if (++TotalEvents > Limits.MaxEvents)
+      return fail(ErrorCode::LimitExceeded, "event count exceeds the limit");
+    AllocBytes += sizeof(Event);
+    if (AllocBytes > Limits.MaxAllocBytes)
+      return fail(ErrorCode::LimitExceeded,
+                  "event storage exceeds the allocation cap");
+    Result->append(E);
+    return Error::success();
+  };
 
   if (RawLine.size() > Limits.MaxLineBytes)
     return fail(ErrorCode::LimitExceeded, "line exceeds the length limit");
   std::string_view Line = scan::skipLeadingSpace(RawLine);
   if (Line.empty() || Line.front() == '#')
     return Error::success();
+  // Past 'procs', a canonical event line needs no tokenizing; every
+  // other line, and every error, takes the generic path below.
+  Event E;
+  if (Result && scan::tryCanonicalEvent(Line, tables(), E, CanonicalMisses)) {
+    ++Records;
+    return append(E);
+  }
   std::string_view Fields[scan::MaxFields];
   size_t NumFields = scan::splitFields(Line, Fields);
 
@@ -212,7 +230,6 @@ Error detail::TextTraceParser::consumeLine() {
   // one is dropped instead of aborting the parse.  Attempted records
   // are counted locally and flushed to Options.Report on exit.
   ++Records;
-  Event E;
   Error RecordErr = scan::parseEventRecord(Fields, NumFields, tables(),
                                            LineNo, LineOffset, E);
   if (RecordErr) {
@@ -223,14 +240,7 @@ Error detail::TextTraceParser::consumeLine() {
       return Error::success();
     return Error::fromParse(std::move(PE));
   }
-  if (++TotalEvents > Limits.MaxEvents)
-    return fail(ErrorCode::LimitExceeded, "event count exceeds the limit");
-  AllocBytes += sizeof(Event);
-  if (AllocBytes > Limits.MaxAllocBytes)
-    return fail(ErrorCode::LimitExceeded,
-                "event storage exceeds the allocation cap");
-  Result->append(E);
-  return Error::success();
+  return append(E);
 }
 
 Error detail::TextTraceParser::parseAll() {

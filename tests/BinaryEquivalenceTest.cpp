@@ -28,6 +28,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TraceCompare.h"
 #include "support/Checksum.h"
 #include "support/FileUtils.h"
 #include "support/ParseLimits.h"
@@ -36,6 +37,7 @@
 #include "trace/TraceIO.h"
 #include "gtest/gtest.h"
 #include <cstring>
+#include <optional>
 #include <vector>
 
 using namespace lima;
@@ -84,9 +86,10 @@ Trace makeTrace(unsigned Procs, unsigned Rounds, bool Dirty) {
 /// One parse outcome, flattened for comparison.
 struct Outcome {
   bool Ok = false;
-  std::string TraceText; // writeTraceText on success
-  ParseError Err;        // structured error on failure
-  ParseReport Report;    // attached in lenient mode
+  std::optional<Trace> Parsed; // the trace on success
+  std::string TraceText;       // writeTraceText on success
+  ParseError Err;              // structured error on failure
+  ParseReport Report;          // attached in lenient mode
 };
 
 Outcome runParse(std::string_view Bytes, ParseMode Mode, unsigned Threads) {
@@ -99,10 +102,19 @@ Outcome runParse(std::string_view Bytes, ParseMode Mode, unsigned Threads) {
   if (Result) {
     O.Ok = true;
     O.TraceText = trace::writeTraceText(*Result);
+    O.Parsed.emplace(std::move(*Result));
   } else {
     O.Err = Result.takeError().toParseError();
   }
   return O;
+}
+
+/// The same events, bit for bit, and the same text rendering (which
+/// makes a failure readable).
+void expectSameTrace(const Outcome &Ref, const Outcome &Got,
+                     const std::string &What) {
+  EXPECT_TRUE(testutil::sameTraceText(Ref.TraceText, Got.TraceText)) << What;
+  EXPECT_TRUE(testutil::sameEventColumns(*Ref.Parsed, *Got.Parsed)) << What;
 }
 
 /// Bit-for-bit agreement: trace, error (incl. offset and message) and
@@ -111,7 +123,7 @@ void expectIdenticalOutcome(const Outcome &Ref, const Outcome &Got,
                             const std::string &What) {
   ASSERT_EQ(Ref.Ok, Got.Ok) << What;
   if (Ref.Ok) {
-    EXPECT_EQ(Ref.TraceText, Got.TraceText) << What;
+    expectSameTrace(Ref, Got, What);
   } else {
     EXPECT_EQ(Ref.Err.Code, Got.Err.Code) << What;
     EXPECT_EQ(Ref.Err.Offset, Got.Err.Offset) << What;
@@ -137,7 +149,7 @@ void expectSameLogicalOutcome(const Outcome &Ref, const Outcome &Got,
                               const std::string &What) {
   ASSERT_EQ(Ref.Ok, Got.Ok) << What;
   if (Ref.Ok)
-    EXPECT_EQ(Ref.TraceText, Got.TraceText) << What;
+    expectSameTrace(Ref, Got, What);
   else
     EXPECT_EQ(Ref.Err.Code, Got.Err.Code) << What;
   EXPECT_EQ(Ref.Report.TotalRecords, Got.Report.TotalRecords) << What;
@@ -251,7 +263,7 @@ TEST(BinaryEquivalenceTest, IndexlessSalvageMatchesIndexedDecode) {
     for (ParseMode Mode : {ParseMode::Strict, ParseMode::Lenient}) {
       Outcome Got = runParse(Cases[I], Mode, 4);
       ASSERT_TRUE(Got.Ok) << Names[I];
-      EXPECT_EQ(Ref.TraceText, Got.TraceText) << Names[I];
+      expectSameTrace(Ref, Got, Names[I]);
       EXPECT_EQ(Got.Report.DroppedRecords, 0u) << Names[I];
     }
   }
@@ -304,7 +316,7 @@ TEST(BinaryEquivalenceTest, CheckedInCorruptFixturesFollowTheMatrix) {
         "fuzz_trace_binary/overlapping-blocks.limb"}) {
     Outcome Got = runParse(fixture(Name), ParseMode::Strict, 4);
     ASSERT_TRUE(Got.Ok) << Name;
-    EXPECT_EQ(Ref.TraceText, Got.TraceText) << Name;
+    expectSameTrace(Ref, Got, Name);
   }
 
   // Valid index, corrupt block payload: strict errors, lenient drops
@@ -325,6 +337,7 @@ TEST(BinaryEquivalenceTest, LoadTraceAutoRoutesV2ThroughShardedReader) {
   for (unsigned Threads : {1u, 4u}) {
     Trace Loaded = cantFail(trace::loadTraceAuto(Path, {}, Threads));
     EXPECT_EQ(trace::writeTraceText(T), trace::writeTraceText(Loaded));
+    EXPECT_TRUE(testutil::sameEventColumns(T, Loaded));
   }
   std::remove(Path.c_str());
 }

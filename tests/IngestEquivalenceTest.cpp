@@ -8,24 +8,31 @@
 // fixture in fuzz/corpus/ plus a set of synthetic stress inputs runs
 // through the frozen legacy parser, the single-pass scanner and the
 // sharded parallel parser at 1, 2 and 8 threads, in both strict and
-// lenient mode.  Success/failure, the serialized Trace, the structured
-// error (code, line, offset, message) and the full ParseReport (totals,
+// lenient mode.  Success/failure, the serialized Trace, every event
+// column (memcmp, so a time one ulp off fails), the structured error
+// (code, line, offset, message) and the full ParseReport (totals,
 // per-code drop counts, samples) must agree bit for bit.  This is the
-// test that licenses every future optimization of the fast path.
+// test that licenses every future optimization of the fast path; the
+// edge cases and the seeded line sweep aim at the canonical-line fast
+// path's limits (trace/TextScan.h).
 //
 // Also pins the tightened ParseLimits allocation accounting to its
 // documented formula.
 //
 //===----------------------------------------------------------------------===//
 
+#include "TraceCompare.h"
 #include "support/FileUtils.h"
 #include "support/Metrics.h"
 #include "support/ParseLimits.h"
+#include "support/RNG.h"
 #include "trace/ParallelParse.h"
 #include "trace/TextScan.h"
 #include "trace/TraceIO.h"
 #include "gtest/gtest.h"
+#include <algorithm>
 #include <filesystem>
+#include <optional>
 #include <vector>
 
 using namespace lima;
@@ -37,9 +44,10 @@ namespace {
 /// One parse outcome, flattened for comparison.
 struct Outcome {
   bool Ok = false;
-  std::string TraceText; // writeTraceText on success
-  ParseError Err;        // structured error on failure
-  ParseReport Report;    // attached in lenient mode
+  std::optional<Trace> Parsed; // the trace on success
+  std::string TraceText;       // writeTraceText on success
+  ParseError Err;              // structured error on failure
+  ParseReport Report;          // attached in lenient mode
 };
 
 Outcome runParse(std::string_view Text, ParseMode Mode,
@@ -57,6 +65,7 @@ Outcome runParse(std::string_view Text, ParseMode Mode,
   if (Result) {
     O.Ok = true;
     O.TraceText = trace::writeTraceText(*Result);
+    O.Parsed.emplace(std::move(*Result));
   } else {
     O.Err = Result.takeError().toParseError();
   }
@@ -67,7 +76,8 @@ void expectSameOutcome(const Outcome &Ref, const Outcome &Got,
                        const std::string &What) {
   ASSERT_EQ(Ref.Ok, Got.Ok) << What;
   if (Ref.Ok) {
-    EXPECT_EQ(Ref.TraceText, Got.TraceText) << What;
+    EXPECT_TRUE(testutil::sameTraceText(Ref.TraceText, Got.TraceText)) << What;
+    EXPECT_TRUE(testutil::sameEventColumns(*Ref.Parsed, *Got.Parsed)) << What;
   } else {
     EXPECT_EQ(Ref.Err.Code, Got.Err.Code) << What;
     EXPECT_EQ(Ref.Err.Line, Got.Err.Line) << What;
@@ -218,6 +228,259 @@ TEST(IngestEquivalence, SyntheticEdgeCases) {
   };
   for (const Case &C : Cases)
     expectEquivalent(C.Text, C.Name);
+
+  // One event line per case, at and just past each limit of the
+  // canonical fast path (TextScan.h): on one side the fast path must
+  // produce the generic path's exact event, on the other it must
+  // decline and leave the verdict to the generic path.
+  const std::string Declared = Header + "activity 0 a\n";
+  struct Line {
+    const char *Name;
+    const char *Text;
+  } Lines[] = {
+      // Mantissas at 2^53 (exact) and 2^53 + 1 (not a double); with a
+      // point the naive conversion of the latter rounds twice.
+      {"mantissa-2^53", "re 0 9007199254740992 0"},
+      {"mantissa-2^53-point", "re 0 90071992547409.92 0"},
+      {"mantissa-2^53+1", "re 0 9007199254740993 0"},
+      {"mantissa-2^53+1-point", "re 0 90071992547409.93 0"},
+      {"mantissa-2^53+1-exponent", "re 0 9007199254740993e-10 0"},
+      // 19 digits fit the fast path, 20 do not; 2^64 + 1 would wrap to
+      // 1 in a 64-bit accumulator.
+      {"19-digit-time", "re 0 0.000000000000000001 0"},
+      {"20-digit-time", "re 0 0.0000000000000000001 0"},
+      {"20-digit-time-wraps", "re 0 18446744073709551617e-10 0"},
+      {"19-digit-proc", "re 0000000000000000001 1.0 0"},
+      {"20-digit-proc", "re 00000000000000000001 1.0 0"},
+      {"20-digit-proc-wraps", "re 18446744073709551617 1.0 0"},
+      {"19-digit-id", "re 0 1.0 0000000000000000000"},
+      {"20-digit-id", "re 0 1.0 00000000000000000000"},
+      {"19-digit-bytes", "ms 0 1.0 1 9999999999999999999"},
+      {"20-digit-bytes", "ms 0 1.0 1 18446744073709551615"},
+      {"20-digit-bytes-wraps", "ms 0 1.0 1 18446744073709551616"},
+      // Powers of ten: 10^22 is the last exact one.
+      {"1e22", "re 0 1e22 0"},
+      {"1e23", "re 0 1e23 0"},
+      {"3e23", "re 0 3e23 0"},
+      {"1e-22", "re 0 1e-22 0"},
+      {"1e-23", "re 0 1e-23 0"},
+      {"mantissa-exponent", "re 0 4.20751e-05 0"},
+      {"capital-exponent", "re 0 1E5 0"},
+      {"plus-exponent", "re 0 15e+1 0"},
+      {"zero-far-exponent", "re 0 0e50 0"},
+      {"long-exponent", "re 0 1e0000000000000000000000000005 0"},
+      {"exponent-without-digits", "re 0 1e 0"},
+      // Forms only the generic path accepts (or rejects).
+      {"point-without-fraction", "re 0 5. 0"},
+      {"point-without-integer", "re 0 .5 0"},
+      {"plus-time", "re 0 +1.5 0"},
+      {"negative-zero-time", "re 0 -0.0 0"},
+      {"hex-time", "re 0 0x1p3 0"},
+      {"nan", "re 0 nan 0"},
+      {"two-points", "re 0 1.5.5 0"},
+      {"leading-zeros", "re 00 007.50 00"},
+      // Ids and peers around 2^32.
+      {"id-u32-max", "re 0 1.0 4294967295"},
+      {"id-past-u32", "re 0 1.0 4294967296"},
+      {"peer-wraps-u32", "ms 0 1.0 4294967297 64"},
+      {"activity-id", "ab 1 2.5 0"},
+      {"activity-id-out-of-range", "ab 1 2.5 1"},
+      {"proc-out-of-range", "re 2 1.0 0"},
+      // Separators and line ends.
+      {"crlf", "re 0 1.5 0\r"},
+      {"trailing-tab", "ms 0 1.5 1 64\t"},
+      {"trailing-space", "re 0 1.5 0 "},
+      {"double-space", "re  0 1.5 0"},
+      {"double-space-before-id", "re 0 1.5  0"},
+      {"tab-separator", "re\t0 1.5 0"},
+      {"trailing-junk", "re 0 1.5 0x"},
+      {"trailing-field", "re 0 1.5 0 junk"},
+      {"message-missing-bytes", "ms 0 1.0 1"},
+      {"missing-id", "re 0 1.0"},
+      {"shortest", "re 0 1 0"},
+      {"capital-mnemonic", "RE 0 1.0 0"},
+      {"long-mnemonic", "rex 0 1.0 0"},
+  };
+  for (const Line &L : Lines)
+    expectEquivalent(Declared + L.Text + "\n", L.Name);
+}
+
+TEST(IngestEquivalence, FastPathMissRule) {
+  // The rule that stops a consumer trying the fast path changes what a
+  // parse costs, never what it returns.
+  trace::scan::EventTables Tables;
+  Tables.SawProcs = true;
+  Tables.NumProcs = 2;
+  Tables.NumRegions = 1;
+  const std::string_view Canonical = "re 1 0.5 0";
+  const std::string_view Declined = "re 1 0.00000000000000000005 0";
+  Event E;
+  unsigned Misses = 0;
+  for (int I = 0; I != 10; ++I)
+    EXPECT_FALSE(trace::scan::tryCanonicalEvent(Declined, Tables, E, Misses));
+  EXPECT_EQ(Misses, 10u);
+  // A hit takes one miss back; declarations do not count.
+  EXPECT_TRUE(trace::scan::tryCanonicalEvent(Canonical, Tables, E, Misses));
+  EXPECT_EQ(Misses, 9u);
+  EXPECT_FALSE(
+      trace::scan::tryCanonicalEvent("region 1 r", Tables, E, Misses));
+  EXPECT_EQ(Misses, 9u);
+  while (Misses != trace::scan::MaxCanonicalMisses)
+    EXPECT_FALSE(trace::scan::tryCanonicalEvent(Declined, Tables, E, Misses));
+  EXPECT_FALSE(trace::scan::tryCanonicalEvent(Canonical, Tables, E, Misses));
+
+  // Declined lines first, canonical ones after: every consumer gives
+  // the fast path up early in the file and must still agree with the
+  // reference, sharded or not.
+  std::string Big = makeBigTrace(800);
+  size_t FirstEvent = Big.find("\nre ") + 1;
+  std::string Text = Big.substr(0, FirstEvent);
+  for (int I = 0; I != 100; ++I)
+    Text += "re 1 0.00000000000000000005 0\n";
+  Text += Big.substr(FirstEvent);
+  expectEquivalent(Text, "declined-prefix");
+}
+
+/// \p Bound-limited unsigned as LIMA writes it, or zero-padded to the
+/// 19/20-digit boundary of the fast path.
+std::string randomUnsigned(RNG &Rng, uint64_t Bound) {
+  std::string Digits = std::to_string(Rng.uniformInt(Bound));
+  if (Rng.uniformInt(8) == 0) {
+    size_t Width = 18 + Rng.uniformInt(3);
+    Digits.insert(0, Width - std::min(Digits.size(), Width), '0');
+  }
+  return Digits;
+}
+
+/// A random time that the generic path accepts: as LIMA writes it,
+/// printed too long for the fast path, with an exponent, near 2^53 with
+/// the point anywhere, as random digits with a random point and
+/// exponent, or just past 2^64 in 20 digits.
+std::string randomTime(RNG &Rng) {
+  char Buf[64];
+  double V = Rng.uniformIn(0.0, 1000.0);
+  switch (Rng.uniformInt(7)) {
+  case 0:
+  case 1:
+    std::snprintf(Buf, sizeof(Buf), "%.9f", V);
+    return Buf;
+  case 2:
+    std::snprintf(Buf, sizeof(Buf), "%.17g", V);
+    return Buf;
+  case 3:
+    std::snprintf(Buf, sizeof(Buf), "%.*e",
+                  static_cast<int>(Rng.uniformInt(17)), V);
+    return Buf;
+  case 4: {
+    std::string Digits =
+        std::to_string((uint64_t(1) << 53) - 2 + Rng.uniformInt(5));
+    Digits.insert(Rng.uniformInt(Digits.size() + 1), ".");
+    return Digits;
+  }
+  case 5: {
+    size_t N = 1 + Rng.uniformInt(21);
+    std::string Digits;
+    for (size_t I = 0; I != N; ++I)
+      Digits += static_cast<char>('0' + Rng.uniformInt(10));
+    if (Rng.uniformInt(2))
+      Digits.insert(1 + Rng.uniformInt(N), ".");
+    if (Rng.uniformInt(2)) {
+      Digits += Rng.uniformInt(2) ? 'e' : 'E';
+      int Exponent = static_cast<int>(Rng.uniformInt(61)) - 30;
+      if (Exponent >= 0 && Rng.uniformInt(2))
+        Digits += '+';
+      Digits += std::to_string(Exponent);
+    }
+    return Digits;
+  }
+  default:
+    return "184467440737095516" + std::to_string(16 + Rng.uniformInt(84)) +
+           (Rng.uniformInt(2) ? "e-" + std::to_string(Rng.uniformInt(23))
+                              : std::string());
+  }
+}
+
+/// \p Lines random event lines over 64 processors, 8 regions and 4
+/// activities.  Separators and line ends vary between the canonical
+/// form and other whitespace the generic path accepts; with
+/// \p Malformed, about one line in eight is a record the generic path
+/// rejects (out of range, overflowing, extra or missing fields, unknown
+/// mnemonics, signs).
+std::string makeSweep(uint64_t Seed, size_t Lines, bool Malformed) {
+  static const char *const Kinds[] = {"re", "rx", "ab", "ae", "ms", "mr"};
+  static const uint64_t IdBounds[] = {8, 8, 4, 4, 64, 64};
+  RNG Rng(Seed);
+  std::string Text = "LIMATRACE 1\nprocs 64\n";
+  for (unsigned I = 0; I != 8; ++I)
+    Text += "region " + std::to_string(I) + " r" + std::to_string(I) + "\n";
+  for (unsigned I = 0; I != 4; ++I)
+    Text += "activity " + std::to_string(I) + " a" + std::to_string(I) + "\n";
+  auto separator = [&] {
+    switch (Rng.uniformInt(40)) {
+    case 0:
+      return "  ";
+    case 1:
+      return "\t";
+    default:
+      return " ";
+    }
+  };
+  for (size_t L = 0; L != Lines; ++L) {
+    size_t K = Rng.uniformInt(6);
+    std::string Fields[5] = {Kinds[K], randomUnsigned(Rng, 64), randomTime(Rng),
+                             randomUnsigned(Rng, IdBounds[K]),
+                             std::to_string(Rng.next() >> Rng.uniformInt(64))};
+    size_t NumFields = K >= 4 ? 5 : 4;
+    std::string Tail;
+    if (Malformed && Rng.uniformInt(8) == 0) {
+      switch (Rng.uniformInt(7)) {
+      case 0:
+        Fields[1] = std::to_string(64 + Rng.uniformInt(4));
+        break;
+      case 1:
+        Fields[1 + 2 * Rng.uniformInt(2)] =
+            "184467440737095516" + std::to_string(16 + Rng.uniformInt(84));
+        break;
+      case 2:
+        Fields[3] = std::to_string(IdBounds[K] + Rng.uniformInt(4));
+        break;
+      case 3:
+        Fields[3] = std::to_string((uint64_t(1) << 32) + Rng.uniformInt(4));
+        break;
+      case 4:
+        Tail = Rng.uniformInt(2) ? "x" : " x";
+        break;
+      case 5:
+        NumFields = NumFields == 5 ? 4 : 3;
+        break;
+      default:
+        Fields[0] = Rng.uniformInt(2) ? "zz" : "RE";
+        break;
+      }
+    }
+    for (size_t F = 0; F != NumFields; ++F) {
+      if (F != 0)
+        Text += separator();
+      Text += Fields[F];
+    }
+    Text += Tail;
+    static const char *const Ends[] = {"\n", "\n", "\n", "\n",
+                                       "\r\n", " \n", "\t\n"};
+    Text += Ends[Rng.uniformInt(7)];
+  }
+  return Text;
+}
+
+TEST(IngestEquivalence, SeededLineSweep) {
+  // Valid lines only, so strict mode compares every event; then with
+  // malformed lines mixed in, so lenient mode compares every drop.
+  std::string Clean = makeSweep(1414, 50000, false);
+  ASSERT_GT(Clean.size(), size_t(64) * 1024);
+  Expected<Trace> Parsed = trace::parseTraceText(Clean);
+  ASSERT_TRUE(static_cast<bool>(Parsed));
+  EXPECT_EQ(Parsed->numEvents(), 50000u);
+  expectEquivalent(Clean, "sweep");
+  expectEquivalent(makeSweep(1415, 50000, true), "sweep-malformed");
 }
 
 TEST(IngestEquivalence, BigValidTraceShards) {

@@ -261,19 +261,35 @@ TEST(ParseErrorTest, LenientCsvResyncsAtNextRow) {
 // activity-outside-region must flow through the ParseReport in lenient
 // mode instead of aborting, with counts independent of the thread count.
 TEST(ParseErrorTest, LenientReductionIsDeterministicAcrossThreads) {
-  Trace T(8);
-  uint32_t R = T.addRegion("main");
-  uint32_t A = T.addActivity("compute");
-  for (uint32_t P = 0; P != 8; ++P) {
-    if (P % 2 == 0)
-      T.append({0.0, P, EventKind::RegionExit, R, 0}); // exit w/o enter
-    T.append({0.1, P, EventKind::RegionEnter, R, 0});
-    T.append({0.2, P, EventKind::ActivityBegin, A, 0});
-    T.append({1.0 + P, P, EventKind::ActivityEnd, A, 0});
-    T.append({1.1 + P, P, EventKind::RegionExit, R, 0});
-    if (P % 4 == 0)
-      T.append({2.0 + P, P, EventKind::ActivityBegin, A, 0}); // outside
-  }
+  // Structural faults on some processors and, with \p Backward, events
+  // that step back in time on others.  Lenient mode skips validate, so
+  // the fold itself must drop those: an end before its begin would
+  // otherwise attribute negative time, and a stray enter would change
+  // which later events count as inside a region.
+  auto makeTrace = [](bool Backward) {
+    Trace T(8);
+    uint32_t R = T.addRegion("main");
+    uint32_t A = T.addActivity("compute");
+    for (uint32_t P = 0; P != 8; ++P) {
+      if (P % 2 == 0)
+        T.append({0.0, P, EventKind::RegionExit, R, 0}); // exit w/o enter
+      T.append({0.1, P, EventKind::RegionEnter, R, 0});
+      T.append({0.2, P, EventKind::ActivityBegin, A, 0});
+      if (Backward && P % 3 == 0)
+        T.append({0.15, P, EventKind::ActivityEnd, A, 0}); // before begin
+      T.append({1.0 + P, P, EventKind::ActivityEnd, A, 0});
+      T.append({1.1 + P, P, EventKind::RegionExit, R, 0});
+      if (Backward && P % 3 == 1)
+        T.append({0.5, P, EventKind::RegionEnter, R, 0}); // before exit
+      if (P % 4 == 0)
+        T.append({2.0 + P, P, EventKind::ActivityBegin, A, 0}); // outside
+    }
+    return T;
+  };
+  const Trace T = makeTrace(true);
+  const Trace Clean = makeTrace(false);
+  const size_t Backward = T.numEvents() - Clean.numEvents();
+  ASSERT_EQ(Backward, 6u);
 
   core::ReductionOptions Strict;
   Strict.Threads = 1;
@@ -281,27 +297,68 @@ TEST(ParseErrorTest, LenientReductionIsDeterministicAcrossThreads) {
   EXPECT_FALSE(static_cast<bool>(StrictResult));
   StrictResult.takeError().consume();
 
-  std::vector<double> Reference;
-  for (unsigned Threads : {1u, 2u, 8u}) {
-    SCOPED_TRACE(Threads);
-    ParseReport Report;
-    core::ReductionOptions Options;
-    Options.Threads = Threads;
-    Options.Mode = ParseMode::Lenient;
-    Options.Report = &Report;
-    core::MeasurementCube Cube = cantFail(core::reduceTrace(T, Options));
-
-    EXPECT_EQ(Report.TotalRecords, T.numEvents());
-    EXPECT_EQ(Report.DroppedRecords, 6u); // 4 exits + 2 begins
-    EXPECT_EQ(Report.DroppedByCode[size_t(ErrorCode::StructuralError)], 6u);
-
+  auto cells = [](const core::MeasurementCube &Cube) {
     std::vector<double> Cells;
     for (unsigned P = 0; P != Cube.numProcs(); ++P)
       Cells.push_back(Cube.time(0, 0, P));
+    return Cells;
+  };
+  std::vector<double> Reference;
+  for (unsigned Threads : {1u, 2u, 8u}) {
+    SCOPED_TRACE(Threads);
+    ParseReport Report, CleanReport;
+    core::ReductionOptions Options;
+    Options.Threads = Threads;
+    Options.Mode = ParseMode::Lenient;
+    Options.Report = &CleanReport;
+    std::vector<double> CleanCells =
+        cells(cantFail(core::reduceTrace(Clean, Options)));
+    Options.Report = &Report;
+    std::vector<double> Cells = cells(cantFail(core::reduceTrace(T, Options)));
+
+    EXPECT_EQ(CleanReport.DroppedRecords, 6u); // 4 exits + 2 begins
+    EXPECT_EQ(Report.TotalRecords, T.numEvents());
+    EXPECT_EQ(Report.DroppedRecords, CleanReport.DroppedRecords + Backward);
+    EXPECT_EQ(Report.DroppedByCode[size_t(ErrorCode::StructuralError)],
+              CleanReport.DroppedRecords + Backward);
+    bool SawMessage = false;
+    for (const ParseError &Sample : Report.Samples)
+      SawMessage |= Sample.Msg == "proc 0 event 3: time goes backwards "
+                                  "(0.150000000 after 0.200000000)";
+    EXPECT_TRUE(SawMessage);
+
+    // Dropping the backward events leaves exactly the clean trace's
+    // cube, bit for bit.
+    EXPECT_EQ(Cells, CleanCells);
     if (Reference.empty())
       Reference = Cells;
     else
       EXPECT_EQ(Cells, Reference); // bit-identical, not just close
+  }
+}
+
+TEST(ParseErrorTest, BackwardStepWithinToleranceAttributesNoTime) {
+  // validate lets an event step back by up to its tolerance, so in both
+  // modes the fold sees an activity that ends just before it began; it
+  // counts as empty instead of tripping the cube's negative-time check.
+  Trace T(1);
+  uint32_t R = T.addRegion("main");
+  uint32_t A = T.addActivity("compute");
+  T.append({1.0, 0, EventKind::RegionEnter, R, 0});
+  T.append({2.0, 0, EventKind::ActivityBegin, A, 0});
+  T.append({2.0 - 5e-13, 0, EventKind::ActivityEnd, A, 0});
+  T.append({2.5, 0, EventKind::ActivityBegin, A, 0});
+  T.append({2.75, 0, EventKind::ActivityEnd, A, 0});
+  T.append({3.0, 0, EventKind::RegionExit, R, 0});
+  ASSERT_FALSE(T.validate());
+  for (ParseMode Mode : {ParseMode::Strict, ParseMode::Lenient}) {
+    ParseReport Report;
+    core::ReductionOptions Options;
+    Options.Mode = Mode;
+    Options.Report = &Report;
+    core::MeasurementCube Cube = cantFail(core::reduceTrace(T, Options));
+    EXPECT_EQ(Cube.time(0, 0, 0), 0.25);
+    EXPECT_EQ(Report.DroppedRecords, 0u);
   }
 }
 

@@ -10,6 +10,7 @@
 #include "support/Metrics.h"
 #include "trace/TraceIO.h"
 #include "TestHelpers.h"
+#include "TraceCompare.h"
 #include <cstdio>
 #include <gtest/gtest.h>
 
@@ -51,6 +52,19 @@ Expected<std::vector<Event>> parseChunked(std::string_view Text,
   return Events;
 }
 
+/// \p Events appended to a trace with \p Like's processors and names,
+/// so a stream parse can be compared column by column with a batch one.
+Trace rebuild(const std::vector<Event> &Events, const Trace &Like) {
+  Trace T(Like.numProcs());
+  for (const std::string &Name : Like.regionNames())
+    T.addRegion(Name);
+  for (const std::string &Name : Like.activityNames())
+    T.addActivity(Name);
+  for (const Event &E : Events)
+    T.append(E);
+  return T;
+}
+
 } // namespace
 
 TEST(StreamParserTest, MatchesBatchParserAtAnyChunkSize) {
@@ -74,6 +88,9 @@ TEST(StreamParserTest, MatchesBatchParserAtAnyChunkSize) {
       ASSERT_TRUE(static_cast<bool>(EventsOrErr)) << "chunk " << Chunk;
       EXPECT_EQ(EventsOrErr->size(), Total) << "chunk " << Chunk;
       EXPECT_EQ(Parsed, Total) << "chunk " << Chunk;
+      EXPECT_TRUE(
+          testutil::sameEventColumns(rebuild(*EventsOrErr, Whole), Whole))
+          << "chunk " << Chunk;
 #if LIMA_TELEMETRY
       EXPECT_EQ(Counted.value() - Before, Parsed) << "chunk " << Chunk;
 #endif
@@ -205,12 +222,35 @@ TEST(StreamParserTest, ChunkedStreamMatchesMappedBatchLoad) {
   auto StreamedOrErr = parseChunked(SampleTrace, 7);
   ASSERT_TRUE(static_cast<bool>(StreamedOrErr));
   ASSERT_EQ(StreamedOrErr->size(), Loaded.numEvents());
-  Trace Rebuilt(Loaded.numProcs());
-  Rebuilt.addRegion("main");
-  Rebuilt.addActivity("comp");
-  for (const Event &E : *StreamedOrErr)
-    Rebuilt.append(E);
+  Trace Rebuilt = rebuild(*StreamedOrErr, Loaded);
   EXPECT_EQ(writeTraceText(Rebuilt), writeTraceText(Loaded));
+  EXPECT_TRUE(testutil::sameEventColumns(Rebuilt, Loaded));
+}
+
+TEST(StreamParserTest, MatchesLegacyParserBitForBit) {
+  // The monitor's parser against the frozen strtod-based reference, on
+  // times as LIMA writes them ("%.9f"), with an exponent ("%.6e"), and
+  // in renderings the canonical fast path declines ("%.17g" mostly needs
+  // more than 19 digits, tabs and CRs change the separators).  Half the
+  // lines hit, so the fast path stays in use to the end.
+  std::string Text = "LIMATRACE 1\nprocs 3\nregion 0 main\nactivity 0 a\n";
+  char Buf[96];
+  const char *Formats[] = {"re %u %.9f 0\n", "re %u %.17g 0\n",
+                           "re %u %.6e 0\n", "re\t%u %.9f\t0\r\n"};
+  double T = 0.0;
+  for (unsigned I = 0; I != 4000; ++I) {
+    T += 0.000123456789 * (1 + I % 7);
+    std::snprintf(Buf, sizeof(Buf), Formats[I % 4], I % 3, T);
+    Text += Buf;
+  }
+  Trace Reference = cantFail(parseTraceTextLegacy(Text));
+  for (size_t Chunk : {size_t(1), size_t(7), size_t(4096)}) {
+    auto EventsOrErr = parseChunked(Text, Chunk);
+    ASSERT_TRUE(static_cast<bool>(EventsOrErr)) << "chunk " << Chunk;
+    EXPECT_TRUE(testutil::sameEventColumns(rebuild(*EventsOrErr, Reference),
+                                           Reference))
+        << "chunk " << Chunk;
+  }
 }
 
 TEST(StreamParserTest, MappedFileViewsAreZeroCopyForRegularFiles) {

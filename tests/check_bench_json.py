@@ -50,6 +50,12 @@ PARSE_LEG = {"strict_wall_ms": float, "lenient_wall_ms": float,
 INGEST_LEG = {"wall_ms": float, "events_per_s": float, "mb_per_s": float,
               "speedup_vs_legacy": float}
 
+# scanner_fallback is the scanner on the same events with "%.17g" times,
+# which the canonical fast path declines line by line (fallback_bytes
+# long); its speedup is against legacy on the canonical bytes.
+INGEST_LEGS = ("legacy", "scanner", "scanner_fallback", "sharded_1",
+               "sharded_hw")
+
 BINARY_LEG = {"wall_ms": float, "events_per_s": float, "mb_per_s": float,
               "speedup_vs_v1": float}
 
@@ -106,11 +112,11 @@ def validate(doc, path):
 
     ingest = doc.get("ingest")
     check_object(ingest, {
-        "events": int, "bytes": int, "hardware_threads": int,
-        "lenient_overhead_pct": float, "lenient_overhead_target_pct": float,
-        "lenient_overhead_ok": bool,
+        "events": int, "bytes": int, "fallback_bytes": int,
+        "hardware_threads": int, "lenient_overhead_pct": float,
+        "lenient_overhead_target_pct": float, "lenient_overhead_ok": bool,
     }, "ingest")
-    for leg in ("legacy", "scanner", "sharded_1", "sharded_hw"):
+    for leg in INGEST_LEGS:
         check_object(ingest.get(leg), INGEST_LEG, f"ingest.{leg}")
     if ingest["legacy"]["speedup_vs_legacy"] != 1.0:
         fail("ingest.legacy.speedup_vs_legacy: must be 1.0 by definition")
@@ -183,8 +189,7 @@ def comparable_walls(doc):
     """Yields (label, wall_ms) pairs for the sections the regression
     gate watches.  Missing sections or legs are silently skipped so the
     gate tolerates schema evolution until the baseline is refreshed."""
-    for section, legs in (("ingest", ("legacy", "scanner", "sharded_1",
-                                      "sharded_hw")),
+    for section, legs in (("ingest", INGEST_LEGS),
                           ("binary_ingest", ("v1", "v2_seq", "v2_sharded")),
                           ("streaming_write", ("buffered", "streamed"))):
         obj = doc.get(section)
