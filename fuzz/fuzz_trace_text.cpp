@@ -4,12 +4,16 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Besides running both parse modes, the target checks the canonical
-// fast path against the generic record grammar on every line of the
-// input: a line scanCanonicalEvent accepts must be accepted by
-// splitFields + parseEventRecord with a bit-identical event, under
-// fixed tables of 64 processors, 8 regions and 4 activities.  Any
-// difference traps.
+// Besides running both parse modes, the target checks two shortcuts
+// against the generic record grammar (splitFields + parseEventRecord)
+// on every line of the input, under fixed tables of 64 processors, 8
+// regions and 4 activities, and traps on any difference:
+//  - a line scanCanonicalEvent accepts must be accepted by the generic
+//    path with a bit-identical event;
+//  - a line the generic path accepts as an event of processor P must be
+//    named P by eventLineProcessor, the rule the sharded parser sizes
+//    each processor's slice by (a line it missed would be written past
+//    the slice).
 //
 //===----------------------------------------------------------------------===//
 
@@ -26,7 +30,7 @@ using namespace lima::trace;
 
 namespace {
 
-void checkCanonicalLines(std::string_view Text) {
+void checkLines(std::string_view Text) {
   scan::EventTables Tables;
   Tables.SawProcs = true;
   Tables.NumProcs = 64;
@@ -39,8 +43,7 @@ void checkCanonicalLines(std::string_view Text) {
       End = Text.size();
     std::string_view Line = scan::skipLeadingSpace(Text.substr(Pos, End - Pos));
     Pos = End + 1;
-    Event Fast;
-    if (!scan::scanCanonicalEvent(Line, Tables, Fast))
+    if (Line.empty() || Line.front() == '#')
       continue;
     std::string_view Fields[scan::MaxFields];
     size_t NumFields = scan::splitFields(Line, Fields);
@@ -50,6 +53,13 @@ void checkCanonicalLines(std::string_view Text) {
     bool Failed = static_cast<bool>(Err);
     if (Failed)
       Err.consume();
+    uint32_t Proc;
+    if (!Failed && (!scan::eventLineProcessor(Line, Tables.NumProcs, Proc) ||
+                    Proc != Generic.Proc))
+      __builtin_trap();
+    Event Fast;
+    if (!scan::scanCanonicalEvent(Line, Tables, Fast))
+      continue;
     if (Failed ||
         std::memcmp(&Fast.Time, &Generic.Time, sizeof(double)) != 0 ||
         Fast.Proc != Generic.Proc || Fast.Kind != Generic.Kind ||
@@ -70,6 +80,6 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t *Data, size_t Size) {
   auto Lenient = trace::parseTraceText(Text, fuzz::lenientOptions(Report));
   Lenient.takeError().consume();
 
-  checkCanonicalLines(Text);
+  checkLines(Text);
   return 0;
 }

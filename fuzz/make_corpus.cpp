@@ -66,8 +66,9 @@ Trace makeSeedTrace() {
 }
 
 /// Event lines at and just past each limit of the canonical text fast
-/// path (trace/TextScan.h), under the tables fuzz_trace_text's
-/// differential check uses (64 processors, 8 regions, 4 activities).
+/// path and of the processor rule the sharded parser counts lines by
+/// (trace/TextScan.h), under the tables fuzz_trace_text's differential
+/// checks use (64 processors, 8 regions, 4 activities).
 /// Lines the generic path accepts come first, so a strict parse reaches
 /// all of them; the rejected ones follow for lenient mode.  A copy is
 /// checked in as fuzz/corpus/fuzz_trace_text/canonical-edges.trace.
@@ -115,6 +116,13 @@ std::string canonicalEdgesTrace() {
           "re 0 1.5  0\n"
           "re\t0 1.5 0\n"
           "re 0 1 0\n"
+          "re\t3 1.5 0\n"
+          "re  5 1.5 0\n"
+          "re 7\t1.5 0\n"
+          "re 0000000000000000042 1.0 0\n"
+          "re 00000000000000000042 1.0 0\n"
+          "re +3 1.0 0\n"
+          "rx 63 1.0 0\n"
           "# rejected by the generic path\n"
           "re 18446744073709551617 1.0 0\n"
           "ms 0 1.0 1 18446744073709551616\n"
@@ -131,7 +139,11 @@ std::string canonicalEdgesTrace() {
           "ms 0 1.0 1\n"
           "re 0 1.0\n"
           "RE 0 1.0 0\n"
-          "rex 0 1.0 0\n";
+          "rex 0 1.0 0\n"
+          "rex 3 1.0 0\n"
+          "re 3x 1.0 0\n"
+          "re 3\n"
+          "re -3 1.0 0\n";
   return Text;
 }
 
@@ -226,6 +238,17 @@ int main(int Argc, char **Argv) {
   std::string Overlong = V1.substr(0, V1.size() - 1);
   Overlong.append(16, '\xff');
   Ok &= write(BinDir / "overlong-varint.limb", Overlong);
+
+  // A header that declares one region name twice, in both versions.  No
+  // writer emits one (Trace refuses it), so rename the seed's "loop"
+  // onto "main", which has the same length.  Checked in as
+  // fuzz/corpus/fuzz_trace_binary/dup-region-v{1,2}.limb.
+  auto repeatRegion = [](std::string Bytes) {
+    Bytes.replace(Bytes.find("loop"), 4, "main");
+    return Bytes;
+  };
+  Ok &= write(BinDir / "dup-region-v1.limb", repeatRegion(V1));
+  Ok &= write(BinDir / "dup-region-v2.limb", repeatRegion(Binary));
 
   // --- LIMB v2 block-index mutations ----------------------------------
   // A tiny block size forces several index entries from the 16-event

@@ -21,6 +21,7 @@
 #include <cstring>
 #include <fcntl.h>
 #include <unistd.h>
+#include <unordered_set>
 
 using namespace lima;
 using namespace lima::trace;
@@ -499,6 +500,7 @@ Error detail::parseBinaryHeader(std::string_view Data,
   if (*RegionsOrErr > Limits.MaxRegions)
     return makeCodedError(ErrorCode::LimitExceeded,
                           "binary trace: region count exceeds the limit");
+  std::unordered_set<std::string> Names;
   for (uint32_t I = 0; I != *RegionsOrErr; ++I) {
     auto NameOrErr = In.readString();
     if (auto Err = NameOrErr.takeError())
@@ -507,6 +509,9 @@ Error detail::parseBinaryHeader(std::string_view Data,
       return makeCodedError(ErrorCode::LimitExceeded,
                             "binary trace: name tables exceed the "
                             "allocation cap");
+    if (!Names.insert(*NameOrErr).second)
+      return makeCodedError(ErrorCode::DuplicateDeclaration,
+                            "binary trace: duplicate region name");
     T.addRegion(std::move(*NameOrErr));
   }
   auto ActivitiesOrErr = In.read<uint32_t>();
@@ -515,6 +520,7 @@ Error detail::parseBinaryHeader(std::string_view Data,
   if (*ActivitiesOrErr > Limits.MaxActivities)
     return makeCodedError(ErrorCode::LimitExceeded,
                           "binary trace: activity count exceeds the limit");
+  Names.clear();
   for (uint32_t I = 0; I != *ActivitiesOrErr; ++I) {
     auto NameOrErr = In.readString();
     if (auto Err = NameOrErr.takeError())
@@ -523,6 +529,9 @@ Error detail::parseBinaryHeader(std::string_view Data,
       return makeCodedError(ErrorCode::LimitExceeded,
                             "binary trace: name tables exceed the "
                             "allocation cap");
+    if (!Names.insert(*NameOrErr).second)
+      return makeCodedError(ErrorCode::DuplicateDeclaration,
+                            "binary trace: duplicate activity name");
     T.addActivity(std::move(*NameOrErr));
   }
 

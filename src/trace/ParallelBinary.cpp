@@ -12,9 +12,10 @@
 //   index      read and validate the footer + block index (CRC, exact
 //              tiling of the payload, run/event consistency); on any
 //              doubt fall back to a sequential self-framed block walk
-//   decode     pre-size every processor's columns, then decode blocks
-//              concurrently, each writing its runs' events straight
-//              into their final positions
+//   size       size every processor's columns from the index, leaving
+//              the slots unwritten
+//   decode     decode blocks concurrently, each writing its runs'
+//              events straight into their final positions
 //   merge      fold per-block reports in block order (sequential);
 //              lenient drops compact the columns afterwards
 //
@@ -347,19 +348,22 @@ Expected<Trace> parseBinaryV2Indexed(std::string_view Data,
                                      unsigned Threads) {
   // Destination offsets: runs are in file order, which within one
   // processor is stream order, so a prefix scan per processor places
-  // every run.
-  std::vector<uint64_t> ProcTotal(H.NumProcs, 0);
+  // every run.  Sizing leaves the slots unwritten; the decoding thread
+  // of each block is the first to touch its runs' slots.
   std::vector<uint64_t> RunDest(Idx.Runs.size());
-  for (size_t R = 0; R != Idx.Runs.size(); ++R) {
-    RunDest[R] = ProcTotal[Idx.Runs[R].Proc];
-    ProcTotal[Idx.Runs[R].Proc] += Idx.Runs[R].Count;
+  std::vector<Trace::StreamColumns> Cols(H.NumProcs);
+  {
+    LIMA_SPAN("ingest.size");
+    std::vector<uint64_t> ProcTotal(H.NumProcs, 0);
+    for (size_t R = 0; R != Idx.Runs.size(); ++R) {
+      RunDest[R] = ProcTotal[Idx.Runs[R].Proc];
+      ProcTotal[Idx.Runs[R].Proc] += Idx.Runs[R].Count;
+    }
+    for (unsigned Proc = 0; Proc != H.NumProcs; ++Proc) {
+      T.resizeStream(Proc, ProcTotal[Proc]);
+      Cols[Proc] = T.streamColumns(Proc);
+    }
   }
-  for (unsigned Proc = 0; Proc != H.NumProcs; ++Proc)
-    T.resizeStream(Proc, ProcTotal[Proc]);
-  std::vector<Trace::StreamColumns> Cols;
-  Cols.reserve(H.NumProcs);
-  for (unsigned Proc = 0; Proc != H.NumProcs; ++Proc)
-    Cols.push_back(T.streamColumns(Proc));
 
   {
     LIMA_SPAN("ingest.decode");
@@ -390,17 +394,7 @@ Expected<Trace> parseBinaryV2Indexed(std::string_view Data,
         const uint64_t Written = States[B].RunWritten[R];
         const uint64_t Dest = RunDest[Blk.FirstRun + R];
         uint64_t &At = Cursor[Run.Proc];
-        if (Written != 0 && At != Dest) {
-          const Trace::StreamColumns &C = Cols[Run.Proc];
-          std::memmove(C.Times + At, C.Times + Dest,
-                       Written * sizeof(*C.Times));
-          std::memmove(C.Kinds + At, C.Kinds + Dest,
-                       Written * sizeof(*C.Kinds));
-          std::memmove(C.Ids + At, C.Ids + Dest,
-                       Written * sizeof(*C.Ids));
-          std::memmove(C.Bytes + At, C.Bytes + Dest,
-                       Written * sizeof(*C.Bytes));
-        }
+        Cols[Run.Proc].slide(At, Dest, Written);
         At += Written;
       }
     }

@@ -8,13 +8,19 @@
 //
 //   prologue   sequential TextTraceParser until the first event line
 //   scan       shard the rest at newline boundaries; per shard, count
-//              lines and look for stray directives (pass A, parallel)
-//   parse      per shard, run the shared event-record grammar into
-//              shard-local per-processor columns + ParseReport
+//              lines, count the lines naming each processor
+//              (scan::eventLineProcessor) and look for stray directives
+//              (pass A, parallel)
+//   size       size every processor's stream once from those counts;
+//              a shard's slice of a stream starts where the slices of
+//              the shards before it end
+//   parse      per shard, run the shared event-record grammar and write
+//              each accepted event straight into the next slot of its
+//              processor's slice, plus a shard-local ParseReport
 //              (pass B, parallel)
 //   merge      fold shard reports and errors back in shard order, then
-//              concatenate each processor's shard columns in shard order
-//              (parallel across processors)
+//              close the gaps dropped lines left, sliding each
+//              processor's slices down in shard order
 //
 // Everything that could make the sharded result differ from the
 // sequential one — a directive in the event section (it would mutate
@@ -47,23 +53,6 @@ namespace {
 /// parse; run sequentially.
 constexpr size_t MinParallelBytes = 64 * 1024;
 
-/// One shard's accepted events of one processor, columnar and in file
-/// order.
-struct ProcColumns {
-  std::vector<double> Times;
-  std::vector<EventKind> Kinds;
-  std::vector<uint32_t> Ids;
-  std::vector<uint64_t> Bytes;
-
-  size_t size() const { return Times.size(); }
-  void append(const Event &E) {
-    Times.push_back(E.Time);
-    Kinds.push_back(E.Kind);
-    Ids.push_back(E.Id);
-    Bytes.push_back(E.Bytes);
-  }
-};
-
 struct Shard {
   size_t Begin = 0; ///< Lines starting in [Begin, End) belong here.
   size_t End = 0;
@@ -72,10 +61,14 @@ struct Shard {
   // Pass A results.
   uint64_t Lines = 0;
   bool SawDirective = false;
+  /// Per processor, the lines naming it: an upper bound on the events
+  /// pass B accepts for it, and the length of its slice.
+  std::vector<uint64_t> Counts;
 
   // Pass B inputs/results.
   size_t FirstLineNo = 0; ///< 1-based number of the shard's first line.
-  std::vector<ProcColumns> Procs; ///< Accepted events, per processor.
+  std::vector<uint64_t> Base;    ///< Per processor, its slice's first slot.
+  std::vector<uint64_t> Written; ///< Per processor, events in its slice.
   uint64_t NumEvents = 0;
   ParseReport Report;
   std::optional<ParseError> Err;
@@ -107,13 +100,10 @@ void forEachSegment(std::string_view Text, const Shard &S, Fn &&F) {
     F(S.End, S.End);
 }
 
-/// True when the first whitespace-delimited token of the segment is a
-/// header directive, i.e. the sequential parser would not treat this
-/// line as an event record.
+/// True when the first whitespace-delimited token of \p Line
+/// (left-trimmed, not blank) is a header directive, i.e. the sequential
+/// parser would not treat this line as an event record.
 bool isDirectiveLine(std::string_view Line) {
-  Line = scan::skipLeadingSpace(Line);
-  if (Line.empty())
-    return false;
   // Directives all start with 'p', 'r' or 'a'; cheap reject first.
   char C = Line.front();
   if (C != 'p' && C != 'r' && C != 'a')
@@ -125,32 +115,41 @@ bool isDirectiveLine(std::string_view Line) {
   return Tok == "procs" || Tok == "region" || Tok == "activity";
 }
 
-/// Pass A: line count + directive detection for one shard.
-void scanShard(std::string_view Text, Shard &S) {
+/// Pass A: line count, directive detection and per-processor line
+/// counts for one shard.
+void scanShard(std::string_view Text, Shard &S, unsigned NumProcs) {
+  S.Counts.assign(NumProcs, 0);
   forEachSegment(Text, S, [&](size_t Begin, size_t End) {
     ++S.Lines;
-    if (!S.SawDirective &&
-        isDirectiveLine(Text.substr(Begin, End - Begin)))
+    std::string_view Line =
+        scan::skipLeadingSpace(Text.substr(Begin, End - Begin));
+    if (Line.empty() || Line.front() == '#')
+      return true;
+    if (!S.SawDirective && isDirectiveLine(Line))
       S.SawDirective = true;
+    uint32_t Proc;
+    if (scan::eventLineProcessor(Line, NumProcs, Proc))
+      ++S.Counts[Proc];
     return true;
   });
 }
 
-/// Pass B: parses one shard's event lines against the frozen \p Tables.
+/// Pass B: parses one shard's event lines against the frozen \p Tables,
+/// writing each accepted event into its processor's slice of \p Cols.
 /// Limits that depend on global state (event count, allocation cap)
 /// were proven untrippable before pass B started; the per-line length
 /// limit is still enforced here and is fatal, exactly as in the
 /// sequential parser.
 void parseShard(std::string_view Text, Shard &S,
                 const ParseOptions &Options,
-                const scan::EventTables &Tables) {
+                const scan::EventTables &Tables,
+                const std::vector<Trace::StreamColumns> &Cols) {
   ParseOptions Local = Options;
   Local.Report = Options.Report ? &S.Report : nullptr;
   const ParseLimits &Limits = Options.Limits;
   size_t LineNo = S.FirstLineNo - 1;
   uint64_t Records = 0; // flushed to S.Report after the walk
   unsigned CanonicalMisses = 0;
-  S.Procs.resize(Tables.NumProcs);
 
   forEachSegment(Text, S, [&](size_t Begin, size_t End) {
     std::string_view RawLine = Text.substr(Begin, End - Begin);
@@ -182,7 +181,24 @@ void parseShard(std::string_view Text, Shard &S,
         return false;
       }
     }
-    S.Procs[E.Proc].append(E);
+    // Pass A counted every line naming this processor, so the slice has
+    // room unless the two passes disagree on the processor; then the
+    // slot would be the next shard's, so stop instead of writing it.
+    uint64_t &Written = S.Written[E.Proc];
+    if (Written == S.Counts[E.Proc]) {
+      S.Err = makeParseError(ErrorCode::Generic, LineNo, LineOffset,
+                             "trace line %zu: internal error: processor %u "
+                             "has more events than pass A counted",
+                             LineNo, E.Proc)
+                  .toParseError();
+      return false;
+    }
+    const Trace::StreamColumns &C = Cols[E.Proc];
+    const uint64_t Slot = S.Base[E.Proc] + Written++;
+    C.Times[Slot] = E.Time;
+    C.Kinds[Slot] = E.Kind;
+    C.Ids[Slot] = E.Id;
+    C.Bytes[Slot] = E.Bytes;
     ++S.NumEvents;
     return true;
   });
@@ -205,11 +221,12 @@ Expected<Trace> trace::parseTraceTextParallel(std::string_view Text,
   scan::EventTables Tables = Parser.tables();
   size_t EvStart = Parser.position();
   size_t Remain = Text.size() - EvStart;
-  // Every shard keeps columns for every processor; cap the shard count
-  // so that their headers never outweigh the event text itself.
+  // Every shard keeps three counters for every processor (its line
+  // count, its slice's base, the events written); cap the shard count
+  // so that they never outweigh the event text itself.
   if (Tables.SawProcs)
     Threads = static_cast<unsigned>(std::min<size_t>(
-        Threads, Remain / (Tables.NumProcs * sizeof(ProcColumns))));
+        Threads, Remain / (Tables.NumProcs * 3 * sizeof(uint64_t))));
   if (Parser.atEnd() || !Tables.SawProcs || Threads <= 1 ||
       Remain < MinParallelBytes) {
     // Nothing shardable (or not worth sharding): finish sequentially.
@@ -249,9 +266,11 @@ Expected<Trace> trace::parseTraceTextParallel(std::string_view Text,
     Shards.back().End = Text.size();
     Shards.back().Last = true;
 
-    // Pass A: count lines, look for stray directives.
-    parallelFor(Shards.size(), Threads,
-                [&](size_t I) { scanShard(Text, Shards[I]); });
+    // Pass A: count lines, and per processor the lines naming it; look
+    // for stray directives.
+    parallelFor(Shards.size(), Threads, [&](size_t I) {
+      scanShard(Text, Shards[I], Tables.NumProcs);
+    });
   }
 
   uint64_t RemainLines = 0;
@@ -279,7 +298,31 @@ Expected<Trace> trace::parseTraceTextParallel(std::string_view Text,
     return Parser.take();
   }
 
-  // Phase 3: parse shards concurrently.
+  // Phase 3: size every stream once.  A processor's stream is its
+  // shards' slices in shard order, which is file order.  Counts never
+  // exceed RemainLines, so the storage stays inside the bound the
+  // allocation check above proved.
+  Trace &T = Parser.trace();
+  const unsigned NumProcs = T.numProcs();
+  std::vector<Trace::StreamColumns> Cols(NumProcs);
+  {
+    LIMA_SPAN("ingest.size");
+    for (Shard &S : Shards) {
+      S.Base.resize(NumProcs);
+      S.Written.assign(NumProcs, 0);
+    }
+    for (unsigned Proc = 0; Proc != NumProcs; ++Proc) {
+      uint64_t At = T.events(Proc).size();
+      for (Shard &S : Shards) {
+        S.Base[Proc] = At;
+        At += S.Counts[Proc];
+      }
+      T.resizeStream(Proc, At);
+      Cols[Proc] = T.streamColumns(Proc);
+    }
+  }
+
+  // Phase 4: parse shards concurrently, each into its own slices.
   {
     LIMA_SPAN("ingest.parse");
     size_t NextLine = Parser.nextLineNumber();
@@ -288,11 +331,11 @@ Expected<Trace> trace::parseTraceTextParallel(std::string_view Text,
       NextLine += S.Lines;
     }
     parallelFor(Shards.size(), Threads, [&](size_t I) {
-      parseShard(Text, Shards[I], Options, Tables);
+      parseShard(Text, Shards[I], Options, Tables, Cols);
     });
   }
 
-  // Phase 4: merge in shard order.  The first erroring shard (lowest
+  // Phase 5: merge in shard order.  The first erroring shard (lowest
   // byte offset) wins; its report — and those of the shards before it —
   // are exactly what the sequential parser would have accumulated up to
   // and including the failing line.
@@ -306,28 +349,17 @@ Expected<Trace> trace::parseTraceTextParallel(std::string_view Text,
       return Error::fromParse(std::move(*S.Err));
     MergedEvents += S.NumEvents;
   }
-  // A processor's stream is its shards' slices in shard order, which is
-  // file order.  Size each stream once, copy the slices in and free
-  // them; streams are disjoint, so processors merge concurrently.
-  Trace &T = Parser.trace();
-  parallelFor(T.numProcs(), Threads, [&](size_t I) {
-    unsigned Proc = static_cast<unsigned>(I);
-    size_t At = T.events(Proc).size();
-    size_t Total = At;
-    for (const Shard &S : Shards)
-      Total += S.Procs[Proc].size();
-    T.resizeStream(Proc, Total);
-    Trace::StreamColumns Dst = T.streamColumns(Proc);
-    for (Shard &S : Shards) {
-      ProcColumns &Src = S.Procs[Proc];
-      std::copy(Src.Times.begin(), Src.Times.end(), Dst.Times + At);
-      std::copy(Src.Kinds.begin(), Src.Kinds.end(), Dst.Kinds + At);
-      std::copy(Src.Ids.begin(), Src.Ids.end(), Dst.Ids + At);
-      std::copy(Src.Bytes.begin(), Src.Bytes.end(), Dst.Bytes + At);
-      At += Src.size();
-      Src = ProcColumns();
+  // A slice is short by the lines pass A counted that pass B dropped
+  // (lenient mode only: in strict mode such a line is the error).
+  // Close the gaps: slide each processor's slices down in shard order.
+  for (unsigned Proc = 0; Proc != NumProcs; ++Proc) {
+    uint64_t At = Shards.front().Base[Proc];
+    for (const Shard &S : Shards) {
+      Cols[Proc].slide(At, S.Base[Proc], S.Written[Proc]);
+      At += S.Written[Proc];
     }
-  });
+    T.truncateStream(Proc, At);
+  }
   Parser.noteShardedSection(RemainLines, MergedEvents,
                             MergedEvents * sizeof(Event));
   return Parser.take();

@@ -109,6 +109,12 @@ Error StreamParser::parseLine(std::string_view RawLine,
     if (AllocBytes > Limits.MaxAllocBytes)
       return fail(ErrorCode::LimitExceeded,
                   "name tables exceed the allocation cap");
+    if (!(IsRegion ? RegionSet : ActivitySet)
+             .insert(std::string(Fields[2]))
+             .second)
+      return fail(ErrorCode::DuplicateDeclaration,
+                  IsRegion ? "duplicate region name"
+                           : "duplicate activity name");
     Table.push_back(std::string(Fields[2]));
     return Error::success();
   }

@@ -27,6 +27,7 @@
 #include "trace/Event.h"
 #include <string>
 #include <string_view>
+#include <unordered_set>
 #include <vector>
 
 namespace lima {
@@ -73,6 +74,8 @@ private:
   unsigned NumProcs = 0;
   std::vector<std::string> Regions;
   std::vector<std::string> Activities;
+  /// The same names, to reject a repeated one.
+  std::unordered_set<std::string> RegionSet, ActivitySet;
   uint64_t TotalEvents = 0;
   uint64_t AllocBytes = 0;
   /// The canonical fast path's miss count (scan::tryCanonicalEvent);

@@ -23,6 +23,7 @@
 #include "trace/Trace.h"
 #include <optional>
 #include <string_view>
+#include <unordered_set>
 
 namespace lima {
 namespace trace {
@@ -109,6 +110,8 @@ private:
   uint64_t AllocBytes = 0;
   uint64_t Records = 0;
   unsigned CanonicalMisses = 0; ///< See scan::tryCanonicalEvent.
+  /// Names declared so far, to reject a repeated one (views into Text).
+  std::unordered_set<std::string_view> RegionNames, ActivityNames;
 };
 
 } // namespace detail

@@ -7,8 +7,9 @@
 /// \file
 /// The allocation-free scanning core shared by every LIMATRACE text
 /// consumer — the batch parser (parseTraceText), the sharded parallel
-/// parser (parseTraceTextParallel) and the incremental StreamParser.
-/// Four layers:
+/// parser (parseTraceTextParallel) and the incremental StreamParser —
+/// plus eventLineProcessor, the rule the sharded parser counts each
+/// processor's lines by before it sizes the streams.  Four layers:
 ///
 ///  - scanCanonicalEvent: a one-pass recognizer for the event lines
 ///    every LIMA writer prints.  Each consumer tries it first on an
@@ -472,6 +473,45 @@ inline bool tryCanonicalEvent(std::string_view Line,
   if (Line.size() > 2 && Line[2] == ' ')
     ++Misses;
   return false;
+}
+
+/// The processor an event line names, by the rule the sharded parser's
+/// pass A sizes each processor's stream with: the second
+/// whitespace-delimited field of \p Line (left-trimmed, not blank, not
+/// a comment), read the way parseEventRecord reads it (scanUnsigned,
+/// below \p NumProcs).  A canonical prefix (two non-space bytes, one
+/// space, 1-19 digits, a space byte) is read in place; any other line
+/// goes through splitFields.  Returns false when the field is missing,
+/// not a number or out of range.  Whenever splitFields +
+/// parseEventRecord accept a line as an event of processor P, this
+/// names P (fuzz_trace_text traps otherwise); a line it names may still
+/// fail another field, so counts built from it are upper bounds.
+inline bool eventLineProcessor(std::string_view Line, unsigned NumProcs,
+                               uint32_t &Proc) {
+  uint64_t Value = 0;
+  bool Canonical = false;
+  if (Line.size() > 4 && !isSpaceByte(Line[0]) && !isSpaceByte(Line[1]) &&
+      Line[2] == ' ') {
+    const char *P = Line.data() + 3;
+    const char *End = Line.data() + Line.size();
+    Canonical = readCanonicalUnsigned(P, End, Value) && P != End &&
+                isSpaceByte(*P);
+  }
+  if (!Canonical) {
+    std::string_view Fields[MaxFields];
+    if (splitFields(Line, Fields) < 2)
+      return false;
+    Expected<uint64_t> ValueOrErr = scanUnsigned(Fields[1]);
+    if (!ValueOrErr) {
+      ValueOrErr.takeError().consume();
+      return false;
+    }
+    Value = *ValueOrErr;
+  }
+  if (Value >= NumProcs)
+    return false;
+  Proc = static_cast<uint32_t>(Value);
+  return true;
 }
 
 /// Heap bytes a registered name of \p Len bytes actually costs: the

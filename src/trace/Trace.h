@@ -13,10 +13,13 @@
 /// parallel columns (time, kind, id, bytes) rather than a vector of
 /// Event records.  Analysis passes that touch only a subset of the
 /// fields (the reduction never reads Bytes, the statistics never read
-/// Id except on sends) stream proportionally fewer bytes, and bulk
-/// parsers can size the columns up front and write decoded events
-/// straight into their final positions — no per-event push_back, no
-/// merge copy after a sharded parse.  Consumers iterate through
+/// Id except on sends) stream proportionally fewer bytes.  The two bulk
+/// decoders (the sharded text parse and the indexed LIMB v2 decode)
+/// size every stream once with resizeStream, which leaves the new slots
+/// unwritten, and then each decoding thread writes every event straight
+/// into its final slot: no per-event push_back, no merge copy, and no
+/// serial zero-fill ahead of the decode, so the decoding thread's write
+/// is the first touch of the column's pages.  Consumers iterate through
 /// Trace::EventsRef, which materializes Event values on access, so
 /// range-for loops over events(P) read exactly as before.
 ///
@@ -27,9 +30,14 @@
 
 #include "support/Error.h"
 #include "trace/Event.h"
+#include <algorithm>
 #include <cstddef>
+#include <cstring>
 #include <iterator>
+#include <memory>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace lima {
@@ -41,12 +49,72 @@ namespace trace {
 /// is non-decreasing in time.  Region and activity ids index the name
 /// tables registered up front.
 class Trace {
+  /// One event column: a growable array whose resize leaves the new
+  /// elements unwritten (std::vector would zero-fill them), so the
+  /// decoder's write is their first touch.  Every element type is
+  /// trivially copyable, so growth and copies are one memcpy.
+  template <typename T> class Column {
+    static_assert(std::is_trivially_copyable_v<T>);
+
+  public:
+    Column() = default;
+    Column(const Column &O) {
+      reallocate(O.Size);
+      if (O.Size != 0)
+        std::memcpy(Data.get(), O.Data.get(), O.Size * sizeof(T));
+      Size = O.Size;
+    }
+    Column(Column &&O) noexcept
+        : Data(std::move(O.Data)), Size(std::exchange(O.Size, 0)),
+          Cap(std::exchange(O.Cap, 0)) {}
+    Column &operator=(Column O) noexcept {
+      std::swap(Data, O.Data);
+      std::swap(Size, O.Size);
+      std::swap(Cap, O.Cap);
+      return *this;
+    }
+
+    size_t size() const { return Size; }
+    T *data() { return Data.get(); }
+    const T *data() const { return Data.get(); }
+    const T &operator[](size_t I) const { return Data[I]; }
+
+    void push_back(T Value) {
+      if (Size == Cap)
+        reallocate(std::max<size_t>(2 * Cap, 16));
+      Data[Size++] = Value;
+    }
+
+    /// Sets the size to \p N.  Growing leaves [old size, N) unwritten;
+    /// shrinking only lowers the size.
+    void resize(size_t N) {
+      if (N > Cap)
+        reallocate(N);
+      Size = N;
+    }
+
+  private:
+    void reallocate(size_t NewCap) {
+      if (NewCap == 0)
+        return;
+      std::unique_ptr<T[]> New = std::make_unique_for_overwrite<T[]>(NewCap);
+      if (Size != 0)
+        std::memcpy(New.get(), Data.get(), Size * sizeof(T));
+      Data = std::move(New);
+      Cap = NewCap;
+    }
+
+    std::unique_ptr<T[]> Data;
+    size_t Size = 0;
+    size_t Cap = 0;
+  };
+
   /// One processor's event stream, columnar.
   struct Stream {
-    std::vector<double> Times;
-    std::vector<EventKind> Kinds;
-    std::vector<uint32_t> Ids;
-    std::vector<uint64_t> Bytes;
+    Column<double> Times;
+    Column<EventKind> Kinds;
+    Column<uint32_t> Ids;
+    Column<uint64_t> Bytes;
 
     size_t size() const { return Times.size(); }
     void resize(size_t N) {
@@ -119,13 +187,25 @@ public:
   /// Mutable raw columns of one processor's stream, for bulk decoders
   /// that pre-size with resizeStream and write events in place.  The
   /// writer is responsible for range-validating ids (append's asserts
-  /// are bypassed) and for truncateStream when fewer events than sized
-  /// were written.
+  /// are bypassed), and it must write every slot resizeStream added or
+  /// cut the unwritten ones off: until written, a slot holds no defined
+  /// value.  Slots left behind by dropped records are closed up by
+  /// sliding the later events down, then truncateStream.
   struct StreamColumns {
     double *Times;
     EventKind *Kinds;
     uint32_t *Ids;
     uint64_t *Bytes;
+
+    /// Moves the \p N events at slot \p From down to slot \p To.
+    void slide(uint64_t To, uint64_t From, uint64_t N) const {
+      if (N == 0 || To == From)
+        return;
+      std::memmove(Times + To, Times + From, N * sizeof(*Times));
+      std::memmove(Kinds + To, Kinds + From, N * sizeof(*Kinds));
+      std::memmove(Ids + To, Ids + From, N * sizeof(*Ids));
+      std::memmove(Bytes + To, Bytes + From, N * sizeof(*Bytes));
+    }
   };
 
   /// Creates a trace for \p NumProcs processors.
@@ -149,7 +229,7 @@ public:
     return ActivityNames;
   }
 
-  /// Looks up a region id by name; SIZE_MAX sentinel when absent.
+  /// What findRegion and findActivity return for an absent name.
   static constexpr uint32_t InvalidId = UINT32_MAX;
 
   /// How far an event may step back behind its processor's latest
@@ -167,7 +247,9 @@ public:
 
   /// Pre-sizes processor \p Proc's stream to exactly \p N events so a
   /// bulk decoder can fill the columns in place via streamColumns.
-  /// Existing events are kept for indices below \p N.
+  /// Existing events are kept for indices below \p N; slots past the
+  /// old size are left unwritten (see StreamColumns for the decoder's
+  /// duty).  Only the bulk decoders call this.
   void resizeStream(unsigned Proc, size_t N);
 
   /// Shrinks processor \p Proc's stream to its first \p N events (used

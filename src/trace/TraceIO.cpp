@@ -32,6 +32,7 @@
 #include <cstdio>
 #include <cstring>
 #include <optional>
+#include <unordered_set>
 
 using namespace lima;
 using namespace lima::trace;
@@ -218,6 +219,10 @@ Error detail::TextTraceParser::consumeLine() {
     if (AllocBytes > Limits.MaxAllocBytes)
       return fail(ErrorCode::LimitExceeded,
                   "name tables exceed the allocation cap");
+    if (!(IsRegion ? RegionNames : ActivityNames).insert(Fields[2]).second)
+      return fail(ErrorCode::DuplicateDeclaration,
+                  IsRegion ? "duplicate region name"
+                           : "duplicate activity name");
     // Register immediately so events can refer to it.
     if (IsRegion)
       Result->addRegion(std::string(Fields[2]));
@@ -328,6 +333,7 @@ Expected<Trace> trace::parseTraceTextLegacy(std::string_view Text,
   bool SawMagic = false;
   uint64_t TotalEvents = 0;
   uint64_t AllocBytes = 0;
+  std::unordered_set<std::string_view> RegionNames, ActivityNames;
 
   for (const std::string_view RawLine : Lines) {
     ++LineNo;
@@ -397,6 +403,10 @@ Expected<Trace> trace::parseTraceTextLegacy(std::string_view Text,
       if (AllocBytes > Limits.MaxAllocBytes)
         return fail(ErrorCode::LimitExceeded,
                     "name tables exceed the allocation cap");
+      if (!(IsRegion ? RegionNames : ActivityNames).insert(Fields[2]).second)
+        return fail(ErrorCode::DuplicateDeclaration,
+                    IsRegion ? "duplicate region name"
+                             : "duplicate activity name");
       // Register immediately so events can refer to it.
       if (IsRegion)
         Result->addRegion(std::string(Fields[2]));

@@ -32,7 +32,9 @@
 #include "gtest/gtest.h"
 #include <algorithm>
 #include <filesystem>
+#include <initializer_list>
 #include <optional>
+#include <set>
 #include <vector>
 
 using namespace lima;
@@ -100,14 +102,15 @@ void expectSameOutcome(const Outcome &Ref, const Outcome &Got,
 }
 
 /// Legacy is the reference; the scanner and the sharded parser at every
-/// thread count must match it in both modes.
-void expectEquivalent(std::string_view Text, const std::string &Name) {
+/// thread count in \p ThreadCounts must match it in both modes.
+void expectEquivalent(std::string_view Text, const std::string &Name,
+                      std::initializer_list<int> ThreadCounts = {1, 2, 8}) {
   for (ParseMode Mode : {ParseMode::Strict, ParseMode::Lenient}) {
     const char *ModeName = Mode == ParseMode::Strict ? "strict" : "lenient";
     Outcome Ref = runParse(Text, Mode, -1);
     expectSameOutcome(Ref, runParse(Text, Mode, 0),
                       Name + " [" + ModeName + ", scanner]");
-    for (int Threads : {1, 2, 8})
+    for (int Threads : ThreadCounts)
       expectSameOutcome(Ref, runParse(Text, Mode, Threads),
                         Name + " [" + ModeName + ", threads=" +
                             std::to_string(Threads) + "]");
@@ -511,9 +514,95 @@ TEST(IngestEquivalence, BigTraceLenientScatteredDrops) {
                    "big-grouped-lenient-drops");
 }
 
+/// \p Text (a makeBigTrace or makeGroupedBigTrace trace of \p NumProcs
+/// processors) with lines broken so that they still name their
+/// processor but fail a later field — "zz 2 1.0 0", "re 2 bogus 0" or
+/// one field short — at the seams of the sharded parse: the first and
+/// last line of every shard at 2, 3 and 8 threads (the parser's shard
+/// formula; its per-processor cap is never reached here), and the first
+/// and last event line of every processor.  A processor without events
+/// gets one broken line of its own.  Every edit keeps the line's
+/// length, so the shard boundaries stay where they were computed.
+/// Returns the number of broken lines in \p Broken.
+std::string breakSeams(std::string Text, unsigned NumProcs, size_t &Broken) {
+  const size_t EvStart = Text.find("\nre ") + 1;
+  auto lineStartBefore = [&](size_t Pos) {
+    return Text.rfind('\n', Pos - 2) + 1;
+  };
+  std::set<size_t> Starts = {lineStartBefore(Text.size())};
+  for (size_t Threads : {2, 3, 8}) {
+    size_t Chunk = (Text.size() - EvStart) / Threads;
+    size_t Begin = EvStart;
+    for (size_t I = 0; I != Threads; ++I) {
+      Starts.insert(Begin);
+      if (I + 1 != Threads) {
+        Begin = Text.find('\n', std::max(EvStart + (I + 1) * Chunk, Begin)) + 1;
+        Starts.insert(lineStartBefore(Begin));
+      }
+    }
+  }
+  std::vector<size_t> First(NumProcs, std::string::npos), Last(NumProcs);
+  for (size_t Pos = EvStart; Pos < Text.size();
+       Pos = Text.find('\n', Pos) + 1) {
+    unsigned Proc = static_cast<unsigned>(Text[Pos + 3] - '0');
+    if (First[Proc] == std::string::npos)
+      First[Proc] = Pos;
+    Last[Proc] = Pos;
+  }
+  for (unsigned Proc = 0; Proc != NumProcs; ++Proc) {
+    if (First[Proc] == std::string::npos) {
+      size_t Pos = Text.find('\n', Text.size() / 2) + 1;
+      Text[Pos + 3] = static_cast<char>('0' + Proc);
+      Starts.insert(Pos);
+      continue;
+    }
+    Starts.insert(First[Proc]);
+    Starts.insert(Last[Proc]);
+  }
+
+  size_t Kind = 0;
+  for (size_t Pos : Starts) {
+    size_t TimeBegin = Text.find(' ', Pos + 3) + 1;
+    size_t TimeEnd = Text.find(' ', TimeBegin);
+    switch (Kind++ % 3) {
+    case 0:
+      Text[Pos] = Text[Pos + 1] = 'z';
+      break;
+    case 1: {
+      std::string Bogus = "bogus";
+      Bogus.resize(TimeEnd - TimeBegin, 'x');
+      Text.replace(TimeBegin, Bogus.size(), Bogus);
+      break;
+    }
+    default:
+      Text[TimeEnd] = '_';
+      break;
+    }
+  }
+  Broken = Starts.size();
+  return Text;
+}
+
+TEST(IngestEquivalence, ShortSlicesCompactInShardOrder) {
+  // Pass A counts the broken lines, pass B drops them (lenient) or
+  // stops at the first (strict): the slices they leave short must
+  // close up to exactly the sequential parse, at every thread count.
+  for (bool Grouped : {false, true}) {
+    size_t Broken = 0;
+    std::string Text =
+        Grouped ? breakSeams(makeGroupedBigTrace(700), 6, Broken)
+                : breakSeams(makeBigTrace(800), 4, Broken);
+    Outcome Lenient = runParse(Text, ParseMode::Lenient, 0);
+    ASSERT_TRUE(Lenient.Ok);
+    EXPECT_EQ(Lenient.Report.DroppedRecords, Broken);
+    expectEquivalent(Text, Grouped ? "broken-seams-grouped" : "broken-seams",
+                     {1, 2, 3, 8});
+  }
+}
+
 TEST(IngestEquivalence, WideProcessorTableParsesUnsharded) {
-  // Every shard keeps columns for every declared processor.  With
-  // 100000 processors over half a megabyte of events those would
+  // Every shard keeps three counters for every declared processor.
+  // With 100000 processors over half a megabyte of events those would
   // outweigh the text, so the parser must not shard — while the same
   // events under 4 processors do shard (lima.ingest.shards counts the
   // shards of every sharded parse).

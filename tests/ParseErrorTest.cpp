@@ -18,6 +18,7 @@
 #include "support/FileUtils.h"
 #include "support/ParseLimits.h"
 #include "trace/BinaryIO.h"
+#include "trace/ParallelBinary.h"
 #include "trace/TraceIO.h"
 #include "gtest/gtest.h"
 
@@ -73,6 +74,9 @@ TEST(ParseErrorTest, TraceTextFixtures) {
       {"fuzz_trace_text/bad-version.trace", ErrorCode::UnsupportedVersion, 1},
       {"fuzz_trace_text/missing-procs.trace", ErrorCode::MissingSection, 2},
       {"fuzz_trace_text/dup-procs.trace", ErrorCode::DuplicateDeclaration, 3},
+      {"fuzz_trace_text/dup-region.trace", ErrorCode::DuplicateDeclaration, 4},
+      {"fuzz_trace_text/dup-activity.trace", ErrorCode::DuplicateDeclaration,
+       5},
       {"fuzz_trace_text/bad-number.trace", ErrorCode::BadNumber, 5},
       {"fuzz_trace_text/out-of-range-proc.trace", ErrorCode::ValueOutOfRange,
        5},
@@ -199,6 +203,34 @@ TEST(ParseErrorTest, BinaryV2Errors) {
       std::string_view(Bytes).substr(0, Bytes.size() / 2)));
   EXPECT_EQ(PE.Code, ErrorCode::TruncatedInput);
   EXPECT_LE(PE.Offset, Bytes.size() / 2);
+}
+
+TEST(ParseErrorTest, BinaryDuplicateNames) {
+  // A repeated name is refused in the header, in both modes, by the
+  // sequential reader and by the indexed v2 decode alike.
+  ParseOptions Lenient;
+  Lenient.Mode = ParseMode::Lenient;
+  for (const char *Name : {"fuzz_trace_binary/dup-region-v1.limb",
+                           "fuzz_trace_binary/dup-region-v2.limb"}) {
+    SCOPED_TRACE(Name);
+    std::string Bytes = fixture(Name);
+    EXPECT_EQ(takeParseError(trace::parseTraceBinary(Bytes)).Code,
+              ErrorCode::DuplicateDeclaration);
+    EXPECT_EQ(takeParseError(trace::parseTraceBinary(Bytes, Lenient)).Code,
+              ErrorCode::DuplicateDeclaration);
+    EXPECT_EQ(
+        takeParseError(trace::parseTraceBinaryParallel(Bytes, {}, 2)).Code,
+        ErrorCode::DuplicateDeclaration);
+  }
+  // The activity table: rename the second activity onto the first.
+  Trace T(1);
+  T.addRegion("r");
+  T.addActivity("ab");
+  T.addActivity("ac");
+  std::string Bytes = trace::writeTraceBinary(T);
+  Bytes.replace(Bytes.find("ac"), 2, "ab");
+  EXPECT_EQ(takeParseError(trace::parseTraceBinary(Bytes)).Code,
+            ErrorCode::DuplicateDeclaration);
 }
 
 TEST(ParseErrorTest, LenientTraceTextDropsAreDeterministic) {

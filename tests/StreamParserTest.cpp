@@ -209,6 +209,35 @@ TEST(StreamParserTest, DuplicateProcsRejected) {
       P.feed("LIMATRACE 1\nprocs 2\nprocs 2\n", Events)));
 }
 
+TEST(StreamParserTest, RepeatedNameRejectedAtItsLine) {
+  // The monitor's cube cannot hold two regions (or activities) of one
+  // name, so the parser refuses the second declaration, wherever the
+  // chunk boundaries fall.
+  const std::string Events = "re 0 1.0 0\nab 0 2.0 0\nae 0 2.5 0\n"
+                             "rx 0 3.0 0\n";
+  const struct {
+    std::string Text;
+    size_t Line;
+  } Cases[] = {
+      {"LIMATRACE 1\nprocs 1\nregion 0 main\nregion 1 main\n"
+       "activity 0 compute\n" +
+           Events,
+       4},
+      {"LIMATRACE 1\nprocs 1\nregion 0 main\nactivity 0 compute\n"
+       "activity 1 compute\n" +
+           Events,
+       5},
+  };
+  for (const auto &C : Cases)
+    for (size_t Chunk : {size_t(1), size_t(7), size_t(4096)}) {
+      auto EventsOrErr = parseChunked(C.Text, Chunk);
+      ASSERT_FALSE(static_cast<bool>(EventsOrErr)) << "chunk " << Chunk;
+      ParseError PE = EventsOrErr.takeError().toParseError();
+      EXPECT_EQ(PE.Code, ErrorCode::DuplicateDeclaration) << "chunk " << Chunk;
+      EXPECT_EQ(PE.Line, C.Line) << "chunk " << Chunk;
+    }
+}
+
 TEST(StreamParserTest, ChunkedStreamMatchesMappedBatchLoad) {
   // Chunk-boundary parity extended to the mmap-backed path: a stream
   // parse reassembled from 7-byte chunks must see exactly the events

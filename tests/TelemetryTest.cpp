@@ -24,6 +24,10 @@
 #include "support/Parallel.h"
 #include "support/Telemetry.h"
 #include "support/TraceEventExport.h"
+#include "trace/BinaryIO.h"
+#include "trace/ParallelBinary.h"
+#include "trace/ParallelParse.h"
+#include "trace/TraceIO.h"
 #include <atomic>
 #include <cctype>
 #include <gtest/gtest.h>
@@ -325,6 +329,32 @@ TEST(TelemetryTest, StrictReductionSpansValidationInReduceStage) {
       }
     // Lenient reductions skip validation altogether.
     EXPECT_EQ(Validations, Mode == ParseMode::Strict ? 1u : 0u);
+  }
+}
+
+TEST(TelemetryTest, BulkDecodersSpanStreamSizingInIngestStage) {
+  if (!TelemetryCompiled)
+    GTEST_SKIP() << "telemetry compiled out";
+  trace::Trace T = makeTrace(4, 2000);
+  const std::string Text = trace::writeTraceText(T);
+  const std::string Limb = trace::writeTraceBinary(T);
+  ASSERT_GT(Text.size(), size_t(64) * 1024); // enough text to shard
+  for (bool Binary : {false, true}) {
+    TelemetrySession Session;
+    if (Binary)
+      (void)cantFail(trace::parseTraceBinaryParallel(Limb, {}, 2));
+    else
+      (void)cantFail(trace::parseTraceTextParallel(Text, {}, 2));
+    telemetry::setEnabled(false);
+    telemetry::Snapshot S = telemetry::collect();
+
+    unsigned Sizings = 0;
+    for (const telemetry::SpanEvent &E : S.Events)
+      if (S.nameOf(E.Name) == "ingest.size") {
+        ++Sizings;
+        EXPECT_EQ(S.nameOf(E.Stage), "ingest");
+      }
+    EXPECT_EQ(Sizings, 1u) << (Binary ? "LIMB v2" : "text");
   }
 }
 
