@@ -27,6 +27,13 @@
 // or checkpoint dump, a rotation race — degrades to a warning and a
 // retry, never an exit.
 //
+// Two stages run on two threads.  The reading stage (StreamReader)
+// reads, follows the file and parses; the fold stage, on the main
+// thread, adds the events to the windowed analyzer and reports, dumps
+// and checkpoints.  Everything the reader produces reaches the fold in
+// stream order, so the output is what one thread doing both would
+// write.
+//
 //===----------------------------------------------------------------------===//
 
 #include "core/Dashboard.h"
@@ -49,26 +56,43 @@
 #include "support/raw_ostream.h"
 #include "trace/StreamParser.h"
 #include <atomic>
+#include <cassert>
 #include <cerrno>
 #include <chrono>
+#include <condition_variable>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <fcntl.h>
+#include <mutex>
 #include <optional>
+#include <poll.h>
 #include <sys/stat.h>
 #include <thread>
 #include <unistd.h>
+#include <variant>
 
 using namespace lima;
 
 namespace {
 
+// Set by handlers that run on the reading thread only, and read there.
 volatile std::sig_atomic_t DumpRequested = 0;
 volatile std::sig_atomic_t StopRequested = 0;
 
 void onSigUsr1(int) { DumpRequested = 1; }
 void onStopSignal(int) { StopRequested = 1; }
+
+/// SIGUSR1 (metrics dump), SIGTERM and SIGINT (stop): the signals only
+/// the reading thread takes.
+sigset_t readerSignals() {
+  sigset_t Set;
+  sigemptyset(&Set);
+  sigaddset(&Set, SIGUSR1);
+  sigaddset(&Set, SIGTERM);
+  sigaddset(&Set, SIGINT);
+  return Set;
+}
 
 struct MonitorOptions {
   double AlertThreshold = 0.0; ///< 0 disables alerting.
@@ -163,11 +187,13 @@ void reportWindow(const core::WindowResult &W, const MonitorOptions &Opts,
     Gauges.SidA[J]->set(W.Activities.ScaledIndex[J]);
 }
 
-void dumpMetrics(const MonitorOptions &Opts) {
+/// Writes the Prometheus exposition to \p MetricsOut, or to stderr when
+/// it is empty.
+void dumpMetrics(const std::string &MetricsOut) {
   // Keep the process.* self-metrics as fresh in file dumps as the
   // /metrics endpoint keeps them per scrape.
   metrics::sampleProcessMetrics();
-  if (Opts.MetricsOut.empty()) {
+  if (MetricsOut.empty()) {
     errs() << metrics::writePrometheusText();
     errs().flush();
     return;
@@ -177,11 +203,394 @@ void dumpMetrics(const MonitorOptions &Opts) {
   // carries on — the next dump gets another chance.
   Error Err = retry::withBackoff(
       retry::BackoffPolicy{}, "monitor.metrics_dump",
-      [&] { return metrics::writeMetricsFile(Opts.MetricsOut); });
+      [&] { return metrics::writeMetricsFile(MetricsOut); });
   if (Err)
     logging::error("metrics write failed",
-                   {logging::field("path", Opts.MetricsOut),
+                   {logging::field("path", MetricsOut),
                     logging::field("error", Err.message())});
+}
+
+//===----------------------------------------------------------------------===//
+// The hand-off from the reading stage to the fold stage
+//===----------------------------------------------------------------------===//
+
+/// A segment's header tables, which size its WindowedAnalyzer.
+struct SegmentHeader {
+  std::vector<std::string> Regions;
+  std::vector<std::string> Activities;
+  unsigned Procs = 0;
+};
+
+/// The events of one StreamParser::feed or finish call.
+struct Parsed {
+  std::vector<trace::Event> Events;
+  /// Lenient-mode lines the parser dropped so far, over all segments.
+  uint64_t ParserDrops = 0;
+  /// On the segment's first batch with events: the header as parsed by
+  /// the end of that batch.
+  std::optional<SegmentHeader> Header;
+};
+
+/// A record the reading stage logs.  The fold stage emits it, so that
+/// it lands between the same window records as on one thread.
+struct Notice {
+  logging::Level Level;
+  std::string Msg;
+  std::vector<logging::Field> Fields;
+};
+
+/// The followed file was rotated ("rotate") or truncated ("truncate"):
+/// the segment's windows are all due, and the next batch starts a new
+/// segment with its own header and its own t = 0.
+struct SegmentEnd {
+  const char *Reason;
+};
+
+/// The last step: the stream ended (EOF, idle exit or a stop signal),
+/// or the reading stage failed with Failure.
+struct StreamEnd {
+  std::optional<ParseError> Failure;
+  /// The parser's lenient-mode report, over all segments.
+  ParseReport Report;
+  uint64_t EventsParsed = 0;
+};
+
+using Step = std::variant<Parsed, Notice, SegmentEnd, StreamEnd>;
+
+/// Bytes per read() of the input.
+constexpr size_t ChunkBytes = 1 << 16;
+/// Events one chunk can hold: an event line takes at least 8 bytes, so
+/// a batch's storage never regrows.  Pages are touched only as events
+/// fill them.
+constexpr size_t BatchCapacity = ChunkBytes / 8;
+
+/// The input, how to follow it, and where SIGUSR1 dumps the metrics.
+struct Source {
+  std::string Path;
+  int Fd = 0; ///< Open on Path, or stdin; the reader owns it.
+  bool Stdin = false;
+  bool Follow = false;
+  uint64_t IntervalMs = 0;
+  uint64_t IdleExitMs = 0;
+  ParseMode Mode = ParseMode::Strict;
+  std::string MetricsOut;
+};
+
+/// The reading stage.  Its thread owns the descriptor, the follow,
+/// rotation and truncation loop and the StreamParser, and it is the
+/// only thread that takes readerSignals(): it dumps the metrics and
+/// stops the stream.  It hands its steps to the fold stage through a
+/// slot that holds one waiting step, so the reader parses the next
+/// 64 KiB while the fold works on the last.  That bounds the batches
+/// in memory at three, about 100 KB each; a deeper queue would only add
+/// resident batches.  Event storage comes back through recycle(), so
+/// the stream allocates no batch after its first three.
+class StreamReader {
+public:
+  explicit StreamReader(Source Src) : Src(std::move(Src)) {}
+  ~StreamReader();
+  StreamReader(const StreamReader &) = delete;
+  StreamReader &operator=(const StreamReader &) = delete;
+
+  /// Starts the reading thread.
+  Error start();
+  /// The next step in stream order; blocks until the reader has one.
+  Step next();
+  /// Returns a consumed batch's storage for the reader to refill.
+  void recycle(std::vector<trace::Event> Events);
+  /// Stops the reading thread wherever it waits, and joins it.
+  void stop();
+
+private:
+  void run();
+  void readLoop(int &Fd);
+  ssize_t readInput(int Fd, char *Buf, size_t Size);
+  bool push(Step S);
+  std::vector<trace::Event> storage();
+  void pause(uint64_t Ms);
+
+  const Source Src;
+  std::mutex M;
+  std::condition_variable Changed;
+  std::optional<Step> Waiting;                  ///< Guarded by M.
+  std::vector<std::vector<trace::Event>> Spare; ///< Guarded by M.
+  bool Cancelled = false;                       ///< Guarded by M.
+  /// stop() writes to Wake[1] to end a poll() on the input.
+  int Wake[2] = {-1, -1};
+  std::thread Thread;
+};
+
+StreamReader::~StreamReader() {
+  stop();
+  for (int Fd : Wake)
+    if (Fd >= 0)
+      ::close(Fd);
+}
+
+Error StreamReader::start() {
+  if (::pipe2(Wake, O_CLOEXEC) != 0)
+    return makeStringError("cannot create a pipe: %s", std::strerror(errno));
+  Thread = std::thread([this] { run(); });
+  return Error::success();
+}
+
+Step StreamReader::next() {
+  std::unique_lock<std::mutex> Lock(M);
+  Changed.wait(Lock, [&] { return Waiting.has_value(); });
+  Step S = std::move(*Waiting);
+  Waiting.reset();
+  Changed.notify_all();
+  return S;
+}
+
+void StreamReader::recycle(std::vector<trace::Event> Events) {
+  Events.clear();
+  std::lock_guard<std::mutex> Lock(M);
+  Spare.push_back(std::move(Events));
+}
+
+void StreamReader::stop() {
+  {
+    std::lock_guard<std::mutex> Lock(M);
+    Cancelled = true;
+  }
+  Changed.notify_all();
+  char Byte = 0;
+  if (Wake[1] >= 0 && ::write(Wake[1], &Byte, 1) < 0) {
+    // The pipe already holds a wake-up.
+  }
+  if (Thread.joinable())
+    Thread.join();
+}
+
+bool StreamReader::push(Step S) {
+  std::unique_lock<std::mutex> Lock(M);
+  Changed.wait(Lock, [&] { return !Waiting || Cancelled; });
+  if (Cancelled)
+    return false;
+  Waiting.emplace(std::move(S));
+  Changed.notify_all();
+  return true;
+}
+
+std::vector<trace::Event> StreamReader::storage() {
+  std::vector<trace::Event> Events;
+  {
+    std::lock_guard<std::mutex> Lock(M);
+    if (!Spare.empty()) {
+      Events = std::move(Spare.back());
+      Spare.pop_back();
+      return Events;
+    }
+  }
+  Events.reserve(BatchCapacity);
+  return Events;
+}
+
+void StreamReader::pause(uint64_t Ms) {
+  std::unique_lock<std::mutex> Lock(M);
+  Changed.wait_for(Lock, std::chrono::milliseconds(Ms),
+                   [&] { return Cancelled; });
+}
+
+/// One read of \p Fd.  The wait for input happens in poll(), which a
+/// handled signal always interrupts (EINTR) and stop() ends through the
+/// wake pipe (ECANCELED).
+ssize_t StreamReader::readInput(int Fd, char *Buf, size_t Size) {
+  pollfd Fds[2] = {{Fd, POLLIN, 0}, {Wake[0], POLLIN, 0}};
+  if (::poll(Fds, 2, -1) < 0)
+    return -1;
+  if (Fds[1].revents != 0) {
+    errno = ECANCELED;
+    return -1;
+  }
+  return fault::read("monitor.read", Fd, Buf, Size);
+}
+
+void StreamReader::run() {
+  sigset_t Signals = readerSignals();
+  ::pthread_sigmask(SIG_UNBLOCK, &Signals, nullptr);
+  int Fd = Src.Fd;
+  readLoop(Fd);
+  if (!Src.Stdin)
+    ::close(Fd);
+}
+
+void StreamReader::readLoop(int &Fd) {
+  // The parser's own report: the fold keeps another for its analyzer,
+  // and the two meet only in the StreamEnd step.
+  ParseReport Report;
+  ParseOptions Parse;
+  Parse.Mode = Src.Mode;
+  Parse.Report = Src.Mode == ParseMode::Lenient ? &Report : nullptr;
+  std::optional<trace::StreamParser> Stream;
+  Stream.emplace(Parse);
+  bool HeaderSent = false;
+  // Events parsed by segments already finished (rotated away).
+  uint64_t EventsParsedPrior = 0;
+
+  dev_t OpenDev = 0;
+  ino_t OpenIno = 0;
+  struct stat St;
+  if (!Src.Stdin && ::fstat(Fd, &St) == 0) {
+    OpenDev = St.st_dev;
+    OpenIno = St.st_ino;
+  }
+  uint64_t Consumed = 0; ///< Bytes read from the current descriptor.
+  uint64_t IdleMs = 0;
+
+  auto fail = [&](Error Err) { push(StreamEnd{Err.toParseError(), {}, 0}); };
+  // Hands one feed() or finish() result to the fold: its events, or the
+  // error that ends the stream.  False when the stream is over.
+  auto parsed = [&](Error Err, std::vector<trace::Event> Events) {
+    if (Err) {
+      fail(std::move(Err));
+      return false;
+    }
+    Parsed Batch{std::move(Events), Report.DroppedRecords, std::nullopt};
+    if (!HeaderSent && !Batch.Events.empty()) {
+      Batch.Header = SegmentHeader{Stream->regionNames(),
+                                   Stream->activityNames(), Stream->numProcs()};
+      HeaderSent = true;
+    }
+    return push(std::move(Batch));
+  };
+  auto finishSegment = [&] {
+    std::vector<trace::Event> Events = storage();
+    Error Err = Stream->finish(Events);
+    return parsed(std::move(Err), std::move(Events));
+  };
+  // Retires the current segment (rotated away or truncated under us):
+  // its trailing line, then the fold's flush; the next segment gets a
+  // fresh parser.
+  auto endSegment = [&](const char *Reason) {
+    if (!finishSegment())
+      return false;
+    EventsParsedPrior += Stream->eventsParsed();
+    Stream.emplace(Parse);
+    HeaderSent = false;
+    return push(SegmentEnd{Reason});
+  };
+  auto notice = [&](logging::Level Level, const char *Msg,
+                    std::vector<logging::Field> Fields) {
+    return push(Notice{Level, Msg, std::move(Fields)});
+  };
+
+  char Buf[ChunkBytes];
+  for (;;) {
+    if (DumpRequested) {
+      DumpRequested = 0;
+      dumpMetrics(Src.MetricsOut);
+    }
+    if (StopRequested)
+      break;
+    // EINTR retries in place — unless a signal flagged work above, in
+    // which case the loop must come back around to service it.
+    ssize_t N = retry::retryEintr(
+        [&] { return readInput(Fd, Buf, sizeof(Buf)); },
+        [] { return DumpRequested != 0 || StopRequested != 0; });
+    if (N < 0) {
+      if (errno == ECANCELED)
+        return;
+      if (errno == EINTR)
+        continue;
+      if (retry::isTransientErrno(errno)) {
+        if (!notice(logging::Level::Warn, "transient read error, retrying",
+                    {logging::field("error", std::strerror(errno))}))
+          return;
+        pause(Src.IntervalMs);
+        continue;
+      }
+      return fail(makeStringError("read failed: %s", std::strerror(errno)));
+    }
+    if (N == 0) {
+      // EOF.  A pipe's EOF is final; a followed file may grow, be
+      // rotated to a new inode, or be truncated in place.
+      if (!Src.Follow || Src.Stdin)
+        break;
+      if (Src.IdleExitMs != 0 && IdleMs >= Src.IdleExitMs)
+        break;
+      struct stat PathSt;
+      if (::stat(Src.Path.c_str(), &PathSt) != 0) {
+        // Mid-rotation gap: the path is briefly gone.  Keep polling —
+        // the retired descriptor stays valid meanwhile.
+        pause(Src.IntervalMs);
+        IdleMs += Src.IntervalMs;
+        continue;
+      }
+      if (PathSt.st_dev != OpenDev || PathSt.st_ino != OpenIno) {
+        // Rotated: a different file sits at the path.  Open it first —
+        // only a successful open retires the old segment, so transient
+        // open failures (EMFILE, another rotation race) just retry on
+        // the next poll with nothing lost.
+        int NewFd;
+        if (fault::Fault F = fault::check("monitor.open")) {
+          errno = F.errnoValue() ? F.errnoValue() : EIO;
+          NewFd = -1;
+        } else {
+          NewFd = ::open(Src.Path.c_str(), O_RDONLY);
+        }
+        if (NewFd < 0) {
+          if (!notice(logging::Level::Warn,
+                      "reopen after rotation failed, retrying",
+                      {logging::field("path", Src.Path),
+                       logging::field("error", std::strerror(errno))}))
+            return;
+          pause(Src.IntervalMs);
+          IdleMs += Src.IntervalMs;
+          continue;
+        }
+        ::close(Fd);
+        Fd = NewFd;
+        if (!endSegment("rotate"))
+          return;
+        struct stat NewSt;
+        if (::fstat(Fd, &NewSt) == 0) {
+          OpenDev = NewSt.st_dev;
+          OpenIno = NewSt.st_ino;
+        }
+        Consumed = 0;
+        IdleMs = 0;
+        if (!notice(logging::Level::Info, "trace rotated, following new file",
+                    {logging::field("path", Src.Path)}))
+          return;
+        continue;
+      }
+      if (static_cast<uint64_t>(PathSt.st_size) < Consumed) {
+        // Truncated in place (copytruncate rotation): same inode,
+        // fewer bytes than we consumed.  Start over from byte 0.
+        if (!endSegment("truncate"))
+          return;
+        if (::lseek(Fd, 0, SEEK_SET) < 0)
+          return fail(makeStringError("seek after truncation failed: %s",
+                                      std::strerror(errno)));
+        Consumed = 0;
+        IdleMs = 0;
+        if (!notice(logging::Level::Info,
+                    "trace truncated, restarting from start",
+                    {logging::field("path", Src.Path)}))
+          return;
+        continue;
+      }
+      pause(Src.IntervalMs);
+      IdleMs += Src.IntervalMs;
+      continue;
+    }
+    IdleMs = 0;
+    Consumed += static_cast<uint64_t>(N);
+    std::vector<trace::Event> Events = storage();
+    Error Err = [&] {
+      LIMA_SPAN("monitor.feed");
+      return Stream->feed(std::string_view(Buf, static_cast<size_t>(N)),
+                          Events);
+    }();
+    if (!parsed(std::move(Err), std::move(Events)))
+      return;
+  }
+
+  if (finishSegment())
+    push(StreamEnd{std::nullopt, std::move(Report),
+                   EventsParsedPrior + Stream->eventsParsed()});
 }
 
 } // namespace
@@ -322,36 +731,28 @@ int main(int Argc, char **Argv) {
   }
 
   bool Lenient = Parser.getFlag("lenient");
-  ParseReport Report;
-  ParseOptions Parse;
-  Parse.Mode = Lenient ? ParseMode::Lenient : ParseMode::Strict;
-  Parse.Report = Lenient ? &Report : nullptr;
-
-  const std::string &Path = Parser.getPositionals()[0];
-  bool Stdin = Path == "-";
-  bool Follow = Parser.getFlag("follow") || Stdin;
-  uint64_t IntervalMs = Parser.getUnsigned("interval-ms");
-  uint64_t IdleExitMs = Parser.getUnsigned("idle-exit-ms");
-
-  int Fd = 0;
-  dev_t OpenDev = 0;
-  ino_t OpenIno = 0;
-  uint64_t Consumed = 0; ///< Bytes read from the current descriptor.
-  if (!Stdin) {
-    Fd = ::open(Path.c_str(), O_RDONLY);
-    if (Fd < 0)
-      ExitOnErr(makeStringError("cannot open '%s': %s", Path.c_str(),
+  Source Src;
+  Src.Path = Parser.getPositionals()[0];
+  Src.Stdin = Src.Path == "-";
+  Src.Follow = Parser.getFlag("follow") || Src.Stdin;
+  Src.IntervalMs = Parser.getUnsigned("interval-ms");
+  Src.IdleExitMs = Parser.getUnsigned("idle-exit-ms");
+  Src.Mode = Lenient ? ParseMode::Lenient : ParseMode::Strict;
+  Src.MetricsOut = Monitor.MetricsOut;
+  if (!Src.Stdin) {
+    Src.Fd = ::open(Src.Path.c_str(), O_RDONLY);
+    if (Src.Fd < 0)
+      ExitOnErr(makeStringError("cannot open '%s': %s", Src.Path.c_str(),
                                 std::strerror(errno)));
-    struct stat St;
-    if (::fstat(Fd, &St) == 0) {
-      OpenDev = St.st_dev;
-      OpenIno = St.st_ino;
-    }
   }
-  // sigaction without SA_RESTART: std::signal on glibc restarts a
-  // blocking read() after the handler runs, deferring the metrics dump
-  // until new data arrives; without it read() fails with EINTR and the
-  // loop services DumpRequested promptly even on a quiet stream.
+  // The reading thread alone takes these signals: every other thread
+  // inherits this block, so a signal interrupts the reader's wait for
+  // input (a poll(), which a handler always ends with EINTR) and the
+  // reader services DumpRequested promptly even on a quiet stream.
+  // No SA_RESTART: a signal should end a wait of the reader's, never
+  // resume it.
+  sigset_t Signals = readerSignals();
+  ::pthread_sigmask(SIG_BLOCK, &Signals, nullptr);
   struct sigaction DumpAction;
   std::memset(&DumpAction, 0, sizeof(DumpAction));
   DumpAction.sa_handler = onSigUsr1;
@@ -371,26 +772,28 @@ int main(int Argc, char **Argv) {
   ::sigaction(SIGTERM, &StopAction, nullptr);
   ::sigaction(SIGINT, &StopAction, nullptr);
 
-  std::optional<trace::StreamParser> Stream;
-  Stream.emplace(Parse);
   std::optional<core::WindowedAnalyzer> Analyzer;
   WindowGauges Gauges;
+  // The analyzer's lenient-mode report; the parser's stays with the
+  // reading stage until the stream ends.
+  ParseReport FoldReport;
   core::WindowedOptions WOpts;
   WOpts.WindowSeconds = WindowSeconds;
   WOpts.Views.Kind = Kind;
-  WOpts.Mode = Parse.Mode;
-  WOpts.Report = Parse.Report;
+  WOpts.Mode = Src.Mode;
+  WOpts.Report = Lenient ? &FoldReport : nullptr;
 
   // Atomics: the status-server thread reads these while the main
-  // thread ingests.
+  // thread folds.
   std::atomic<uint64_t> WindowsEmitted{0};
   std::atomic<uint64_t> DroppedRecords{0};
-  std::vector<trace::Event> Events;
-  // Lenient-mode drops already attributed to a reported window; the
-  // delta since the last drain rides on each batch's first window.
+  // Lenient-mode drops: the parser's as of the last batch, plus the
+  // analyzer's.  Those already attributed to a reported window are
+  // AttributedDrops; the delta since the last drain rides on each
+  // batch's first window.
+  uint64_t ParserDrops = 0;
   uint64_t AttributedDrops = 0;
-  // Events parsed by segments already finished (rotated away).
-  uint64_t EventsParsedPrior = 0;
+  auto droppedSoFar = [&] { return ParserDrops + FoldReport.DroppedRecords; };
 
   // Windows are numbered globally and monotonically across file
   // segments: each rotation/truncation restarts the analyzer (the new
@@ -446,31 +849,44 @@ int main(int Argc, char **Argv) {
                      logging::field("error", Err.message())});
   };
 
-  auto consumeEvents = [&]() {
-    for (const trace::Event &E : Events) {
+  status::StatusServer Status;
+  StreamReader Reader(std::move(Src));
+  // Every failure from here on stops both threads before exiting.
+  auto fail = [&](Error Err) {
+    Reader.stop();
+    Status.stop();
+    ExitOnErr(std::move(Err));
+  };
+
+  auto consumeEvents = [&](Parsed &Batch) {
+    ParserDrops = Batch.ParserDrops;
+    if (!Batch.Events.empty()) {
       if (!Analyzer) {
-        // First event: the header tables are complete (declarations
-        // precede events in the format), size the analyzer from them.
-        if (Stream->regionNames().empty() || Stream->activityNames().empty())
-          ExitOnErr(makeStringError("trace declares no regions or "
-                                    "activities; nothing to monitor"));
-        Analyzer.emplace(Stream->regionNames(), Stream->activityNames(),
-                         Stream->numProcs(), WOpts);
+        // The segment's first events: its header tables are complete
+        // (declarations precede events in the format), size the
+        // analyzer from them.
+        assert(Batch.Header && "a segment's first events carry its header");
+        SegmentHeader &Header = *Batch.Header;
+        if (Header.Regions.empty() || Header.Activities.empty())
+          fail(makeStringError("trace declares no regions or "
+                               "activities; nothing to monitor"));
+        Analyzer.emplace(std::move(Header.Regions),
+                         std::move(Header.Activities), Header.Procs, WOpts);
       }
-      ExitOnErr(Analyzer->addEvent(E));
-    }
-    if (!Events.empty()) {
+      LIMA_SPAN("monitor.fold");
+      for (const trace::Event &E : Batch.Events)
+        if (Error Err = Analyzer->addEvent(E))
+          fail(std::move(Err));
       static metrics::Counter &EventsTotal =
           metrics::counter("lima.monitor.events_total");
-      EventsTotal.add(Events.size());
+      EventsTotal.add(Batch.Events.size());
     }
-    Events.clear();
     if (!Analyzer)
       return;
     LIMA_SPAN("monitor.drain");
     auto T0 = std::chrono::steady_clock::now();
     std::vector<core::WindowResult> Done = Analyzer->drainCompleted();
-    uint64_t NowDropped = Parse.Report ? Parse.Report->DroppedRecords : 0;
+    uint64_t NowDropped = droppedSoFar();
     uint64_t DropDelta = NowDropped - AttributedDrops;
     if (!Done.empty())
       AttributedDrops = NowDropped;
@@ -499,9 +915,7 @@ int main(int Argc, char **Argv) {
     }
     metrics::gauge("lima.monitor.watermark_seconds")
         .set(Analyzer->watermark());
-    if (Parse.Report)
-      DroppedRecords.store(Parse.Report->DroppedRecords,
-                           std::memory_order_relaxed);
+    DroppedRecords.store(NowDropped, std::memory_order_relaxed);
     if (Reported)
       writeCheckpoint();
   };
@@ -511,7 +925,7 @@ int main(int Argc, char **Argv) {
   auto reportRemaining = [&] {
     if (!Analyzer)
       return;
-    uint64_t NowDropped = Parse.Report ? Parse.Report->DroppedRecords : 0;
+    uint64_t NowDropped = droppedSoFar();
     uint64_t DropDelta = NowDropped - AttributedDrops;
     AttributedDrops = NowDropped;
     bool Reported = false;
@@ -531,29 +945,6 @@ int main(int Argc, char **Argv) {
       writeCheckpoint();
   };
 
-  // Retires the current file segment (it was rotated away or truncated
-  // under us) and prepares for the next: the old segment's windows are
-  // flushed, then parser and analyzer restart — the new segment has its
-  // own header and its own t = 0 — with window numbering continuing
-  // from where the old segment left off.
-  auto beginSegment = [&](const char *Reason) {
-    ExitOnErr(Stream->finish(Events));
-    consumeEvents();
-    reportRemaining();
-    WindowIndexBase = static_cast<uint64_t>(LastReported + 1);
-    EventsParsedPrior += Stream->eventsParsed();
-    Analyzer.reset();
-    Gauges = {};
-    Stream.emplace(Parse);
-    metrics::counter(std::string("lima.reopen_total{reason=\"") + Reason +
-                     "\"}")
-        .add(1);
-    // A restart from here replays the *new* file, so the checkpoint
-    // must carry the new segment's base immediately.
-    writeCheckpoint();
-  };
-
-  status::StatusServer Status;
   if (Http) {
     Status.addHealthProbe("stream", [] {
       return status::ProbeResult{true, "ingesting"};
@@ -598,116 +989,44 @@ int main(int Argc, char **Argv) {
                   {logging::field("address", Status.address())});
   }
 
-  char Buf[1 << 16];
-  uint64_t IdleMs = 0;
+  if (Error Err = Reader.start())
+    fail(std::move(Err));
+  StreamEnd End;
   for (;;) {
-    if (DumpRequested) {
-      DumpRequested = 0;
-      dumpMetrics(Monitor);
-    }
-    if (StopRequested)
+    Step S = Reader.next();
+    if (auto *Batch = std::get_if<Parsed>(&S)) {
+      consumeEvents(*Batch);
+      Reader.recycle(std::move(Batch->Events));
+    } else if (auto *N = std::get_if<Notice>(&S)) {
+      logging::log(N->Level, N->Msg, std::move(N->Fields));
+    } else if (auto *Segment = std::get_if<SegmentEnd>(&S)) {
+      // The retired segment's windows are flushed; the analyzer
+      // restarts on the next segment's header, with window numbering
+      // continuing from where the old segment left off.
+      reportRemaining();
+      WindowIndexBase = static_cast<uint64_t>(LastReported + 1);
+      Analyzer.reset();
+      Gauges = {};
+      metrics::counter(std::string("lima.reopen_total{reason=\"") +
+                       Segment->Reason + "\"}")
+          .add(1);
+      // A restart from here replays the *new* file, so the checkpoint
+      // must carry the new segment's base immediately.
+      writeCheckpoint();
+    } else {
+      End = std::move(std::get<StreamEnd>(S));
       break;
-    // EINTR retries in place — unless a signal flagged work above, in
-    // which case the loop must come back around to service it (the
-    // handlers are installed without SA_RESTART for exactly this).
-    ssize_t N = retry::retryEintr(
-        [&] { return fault::read("monitor.read", Fd, Buf, sizeof(Buf)); },
-        [] { return DumpRequested != 0 || StopRequested != 0; });
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      if (retry::isTransientErrno(errno)) {
-        logging::warn("transient read error, retrying",
-                      {logging::field("error", std::strerror(errno))});
-        std::this_thread::sleep_for(std::chrono::milliseconds(IntervalMs));
-        continue;
-      }
-      ExitOnErr(makeStringError("read failed: %s", std::strerror(errno)));
     }
-    if (N == 0) {
-      // EOF.  A pipe's EOF is final; a followed file may grow, be
-      // rotated to a new inode, or be truncated in place.
-      if (!Follow || Stdin)
-        break;
-      if (IdleExitMs != 0 && IdleMs >= IdleExitMs)
-        break;
-      struct stat PathSt;
-      if (::stat(Path.c_str(), &PathSt) != 0) {
-        // Mid-rotation gap: the path is briefly gone.  Keep polling —
-        // the retired descriptor stays valid meanwhile.
-        std::this_thread::sleep_for(std::chrono::milliseconds(IntervalMs));
-        IdleMs += IntervalMs;
-        continue;
-      }
-      if (PathSt.st_dev != OpenDev || PathSt.st_ino != OpenIno) {
-        // Rotated: a different file sits at the path.  Open it first —
-        // only a successful open retires the old segment, so transient
-        // open failures (EMFILE, another rotation race) just retry on
-        // the next poll with nothing lost.
-        int NewFd;
-        if (fault::Fault F = fault::check("monitor.open")) {
-          errno = F.errnoValue() ? F.errnoValue() : EIO;
-          NewFd = -1;
-        } else {
-          NewFd = ::open(Path.c_str(), O_RDONLY);
-        }
-        if (NewFd < 0) {
-          logging::warn("reopen after rotation failed, retrying",
-                        {logging::field("path", Path),
-                         logging::field("error", std::strerror(errno))});
-          std::this_thread::sleep_for(std::chrono::milliseconds(IntervalMs));
-          IdleMs += IntervalMs;
-          continue;
-        }
-        beginSegment("rotate");
-        ::close(Fd);
-        Fd = NewFd;
-        struct stat NewSt;
-        if (::fstat(Fd, &NewSt) == 0) {
-          OpenDev = NewSt.st_dev;
-          OpenIno = NewSt.st_ino;
-        }
-        Consumed = 0;
-        IdleMs = 0;
-        logging::info("trace rotated, following new file",
-                      {logging::field("path", Path)});
-        continue;
-      }
-      if (static_cast<uint64_t>(PathSt.st_size) < Consumed) {
-        // Truncated in place (copytruncate rotation): same inode,
-        // fewer bytes than we consumed.  Start over from byte 0.
-        beginSegment("truncate");
-        if (::lseek(Fd, 0, SEEK_SET) < 0)
-          ExitOnErr(makeStringError("seek after truncation failed: %s",
-                                    std::strerror(errno)));
-        Consumed = 0;
-        IdleMs = 0;
-        logging::info("trace truncated, restarting from start",
-                      {logging::field("path", Path)});
-        continue;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(IntervalMs));
-      IdleMs += IntervalMs;
-      continue;
-    }
-    IdleMs = 0;
-    Consumed += static_cast<uint64_t>(N);
-    {
-      LIMA_SPAN("monitor.feed");
-      ExitOnErr(Stream->feed(std::string_view(Buf, static_cast<size_t>(N)),
-                             Events));
-    }
-    consumeEvents();
-    outs().flush();
   }
+  Reader.stop();
+  if (End.Failure)
+    fail(Error::fromParse(std::move(*End.Failure)));
 
-  ExitOnErr(Stream->finish(Events));
-  consumeEvents();
   reportRemaining();
   writeCheckpoint();
-  if (!Stdin)
-    ::close(Fd);
 
+  ParseReport Report = std::move(End.Report);
+  Report.merge(FoldReport);
   if (Lenient && Report.anyDropped())
     logging::warn("parse report",
                   {logging::field("dropped", Report.DroppedRecords),
@@ -716,14 +1035,13 @@ int main(int Argc, char **Argv) {
   logging::info("stream complete",
                 {logging::field("windows",
                                 WindowsEmitted.load(std::memory_order_relaxed)),
-                 logging::field("events",
-                                EventsParsedPrior + Stream->eventsParsed()),
+                 logging::field("events", End.EventsParsed),
                  logging::field("span",
                                 Analyzer ? Analyzer->spanEnd() : 0.0)});
   outs().flush();
 
   if (!Monitor.MetricsOut.empty())
-    dumpMetrics(Monitor);
+    dumpMetrics(Monitor.MetricsOut);
 
   // Graceful last: scrapers in flight get their response before the
   // socket goes away.

@@ -113,10 +113,21 @@ Error WindowedAnalyzer::addEvent(const Event &E) {
                           "non-negative",
                           E.Proc, E.Time);
   ProcState &P = Procs[E.Proc];
-  if (P.AnyEvents && E.Time < P.LastTime)
-    return makeCodedError(ErrorCode::StructuralError,
-                          "proc %u time goes backwards (%.9f after %.9f)",
-                          E.Proc, E.Time, P.LastTime);
+  if (P.AnyEvents && E.Time < P.LastTime) {
+    Error Err = makeCodedError(ErrorCode::StructuralError,
+                               "proc %u time goes backwards (%.9f after %.9f)",
+                               E.Proc, E.Time, P.LastTime);
+    if (Options.Mode != ParseMode::Lenient)
+      return Err;
+    // Dropped before it touches the clock, the watermark or any window:
+    // the window it falls in may already have been drained.
+    ParseError PE = Err.toParseError();
+    if (Options.Report) {
+      ++Options.Report->TotalRecords;
+      Options.Report->addDrop(std::move(PE));
+    }
+    return Error::success();
+  }
   if (Options.Report)
     ++Options.Report->TotalRecords;
 

@@ -115,9 +115,11 @@ public:
   /// and are dropped + counted in lenient mode; a dropped event still
   /// advances the processor's clock, the watermark, and the event
   /// counters (mirroring reduceTrace, whose span includes dropped
-  /// events), it just attributes no time.  Out-of-range ids,
-  /// non-finite or negative times, and time regressions within a
-  /// processor are always errors.
+  /// events), it just attributes no time.  A time regression within a
+  /// processor fails in strict mode; in lenient mode it is dropped and
+  /// counted before it touches any state, so a drained window never
+  /// reopens.  Out-of-range ids and non-finite or negative times are
+  /// always errors.
   Error addEvent(const trace::Event &E);
 
   /// Convenience: feeds every event of \p T in processor-major order

@@ -145,24 +145,42 @@ Error StreamParser::feed(std::string_view Bytes, std::vector<Event> &Out) {
   return Err;
 }
 
+// Complete lines are parsed in place from \p Bytes; only a line cut by
+// the chunk's end is copied, into Buffer, so a chunk costs no copy of
+// itself.  After an error Buffer holds the bytes past the failing line,
+// as if the whole chunk had been buffered.
 Error StreamParser::feedLines(std::string_view Bytes,
                               std::vector<Event> &Out) {
-  Buffer.append(Bytes);
+  if (!Buffer.empty()) {
+    size_t Newline = Bytes.find('\n');
+    Buffer.append(Bytes.substr(0, Newline));
+    if (Newline == std::string_view::npos) {
+      Bytes = {};
+    } else {
+      Error Err = parseLine(Buffer, Out);
+      StreamOffset += Buffer.size() + 1;
+      Bytes.remove_prefix(Newline + 1);
+      if (Err) {
+        Buffer.assign(Bytes);
+        return Err;
+      }
+      Buffer.clear();
+    }
+  }
   size_t Start = 0;
   for (;;) {
-    size_t Newline = Buffer.find('\n', Start);
-    if (Newline == std::string::npos)
+    size_t Newline = Bytes.find('\n', Start);
+    if (Newline == std::string_view::npos)
       break;
-    std::string_view Line(Buffer.data() + Start, Newline - Start);
-    Error Err = parseLine(Line, Out);
+    Error Err = parseLine(Bytes.substr(Start, Newline - Start), Out);
     StreamOffset += Newline - Start + 1;
     Start = Newline + 1;
     if (Err) {
-      Buffer.erase(0, Start);
+      Buffer.assign(Bytes.substr(Start));
       return Err;
     }
   }
-  Buffer.erase(0, Start);
+  Buffer.append(Bytes.substr(Start));
   // A partial line longer than the limit can never become valid; fail
   // now instead of buffering unboundedly.
   if (Buffer.size() > Options.Limits.MaxLineBytes)

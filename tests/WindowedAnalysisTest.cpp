@@ -206,14 +206,17 @@ TEST(WindowedAnalysisTest, WatermarkGatesDraining) {
 }
 
 TEST(WindowedAnalysisTest, LenientDropCountsMatchReduceTrace) {
-  // An activity end with no begin on proc 0: reduceTrace drops exactly
-  // one record in lenient mode; the windowed fold must agree.
+  // An activity end with no begin, then a begin that steps back in
+  // time, whose end then has no begin either: reduceTrace drops these
+  // three records in lenient mode; the windowed fold must agree.
   trace::Trace T(1);
   T.addRegion("r");
   T.addActivity("a");
   T.append({0.0, 0, EventKind::RegionEnter, 0, 0});
   T.append({1.0, 0, EventKind::ActivityEnd, 0, 0}); // No begin.
   T.append({1.5, 0, EventKind::ActivityBegin, 0, 0});
+  T.append({2.0, 0, EventKind::ActivityEnd, 0, 0});
+  T.append({1.9, 0, EventKind::ActivityBegin, 0, 0}); // Steps back.
   T.append({2.0, 0, EventKind::ActivityEnd, 0, 0});
   T.append({2.0, 0, EventKind::RegionExit, 0, 0});
 
@@ -234,7 +237,7 @@ TEST(WindowedAnalysisTest, LenientDropCountsMatchReduceTrace) {
 
   EXPECT_EQ(WindowReport.TotalRecords, WholeReport.TotalRecords);
   EXPECT_EQ(WindowReport.DroppedRecords, WholeReport.DroppedRecords);
-  EXPECT_EQ(WindowReport.DroppedRecords, 1u);
+  EXPECT_EQ(WindowReport.DroppedRecords, 3u);
   ASSERT_EQ(Windows.size(), 1u);
   EXPECT_EQ(Windows[0].Cube.time(0, 0, 0), Whole.time(0, 0, 0));
 }
@@ -306,6 +309,7 @@ TEST(WindowedAnalysisTest, LenientDropAdvancesTimeline) {
   Opts.WindowSeconds = 1.0;
   Opts.Mode = ParseMode::Lenient;
   Opts.Report = &Report;
+  Opts.EmitEmptyWindows = true;
   WindowedAnalyzer A({"r"}, {"a"}, 1, Opts);
   // A dropped malformed event still advances the processor clock, the
   // watermark, and the event counters — mirroring reduceTrace, whose
@@ -315,10 +319,20 @@ TEST(WindowedAnalysisTest, LenientDropAdvancesTimeline) {
   EXPECT_DOUBLE_EQ(A.watermark(), 2.5);
   EXPECT_DOUBLE_EQ(A.spanEnd(), 2.5);
   EXPECT_EQ(A.eventsSeen(), 1u);
-  // Later events are judged against the dropped event's time, so the
-  // strict-mode and lenient-mode timelines agree.
-  EXPECT_TRUE(testutil::failed(
-      A.addEvent({1.0, 0, EventKind::MessageSend, 0, 8})));
+  EXPECT_TRUE(A.drainCompleted().empty());
+  // Later events are judged against the dropped event's time.  One that
+  // steps back is dropped before it touches any state: the clock, the
+  // watermark and the counters stay, and its window (1, already below
+  // the watermark) never opens.
+  ASSERT_FALSE(A.addEvent({1.0, 0, EventKind::MessageSend, 0, 8}));
+  EXPECT_EQ(Report.DroppedRecords, 2u);
+  EXPECT_EQ(Report.TotalRecords, 2u);
+  EXPECT_DOUBLE_EQ(A.watermark(), 2.5);
+  EXPECT_EQ(A.eventsSeen(), 1u);
+  std::vector<WindowResult> Rest = A.finish();
+  ASSERT_EQ(Rest.size(), 1u);
+  EXPECT_EQ(Rest[0].Index, 2u);
+  EXPECT_EQ(Rest[0].Events, 1u);
 }
 
 TEST(WindowedAnalysisTest, EmptyWindowsSkippedUnlessRequested) {

@@ -198,6 +198,12 @@ grep -q '^lima_history_windows 2' "$Work/metrics2" \
 grep -q '^lima_history_evictions_total [1-9]' "$Work/metrics2" \
     || fail "/metrics missing lima_history_evictions_total"
 if grep -q '"telemetry_compiled": true' "$Work/varz"; then
+  # Both stages of the monitor record spans: the reading thread's feed,
+  # the folding thread's fold and drain.
+  for Span in monitor.feed monitor.fold monitor.drain; do
+    grep -q "\"name\": \"$Span\"" "$Work/spans" \
+        || fail "/debug/spans missing the $Span span"
+  done
   grep -q '^lima_http_requests_total{' "$Work/metrics2" \
       || fail "/metrics missing lima_http_requests_total"
   grep -q '^lima_http_request_duration_seconds_bucket{' "$Work/metrics2" \
