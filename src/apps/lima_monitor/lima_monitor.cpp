@@ -334,9 +334,30 @@ Error StreamReader::start() {
   return Error::success();
 }
 
+/// Blocks on Changed until \p Ready holds, adding the microseconds it
+/// waited, if any, to \p Waited.
+template <typename Pred>
+void waitCounted(std::condition_variable &Changed,
+                 std::unique_lock<std::mutex> &Lock, metrics::Counter &Waited,
+                 Pred Ready) {
+  if (Ready())
+    return;
+  auto T0 = std::chrono::steady_clock::now();
+  Changed.wait(Lock, Ready);
+  Waited.add(static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - T0)
+          .count()));
+}
+
 Step StreamReader::next() {
+  // The fold stage idle: the reader is the slower stage, or the input
+  // is.
+  static metrics::Counter &FoldWaiting =
+      metrics::counter("lima.monitor.fold_waiting_us_total");
   std::unique_lock<std::mutex> Lock(M);
-  Changed.wait(Lock, [&] { return Waiting.has_value(); });
+  waitCounted(Changed, Lock, FoldWaiting,
+              [&] { return Waiting.has_value(); });
   Step S = std::move(*Waiting);
   Waiting.reset();
   Changed.notify_all();
@@ -364,8 +385,12 @@ void StreamReader::stop() {
 }
 
 bool StreamReader::push(Step S) {
+  // The reader blocked on a full slot: the fold is the slower stage.
+  static metrics::Counter &ReaderBlocked =
+      metrics::counter("lima.monitor.reader_blocked_us_total");
   std::unique_lock<std::mutex> Lock(M);
-  Changed.wait(Lock, [&] { return !Waiting || Cancelled; });
+  waitCounted(Changed, Lock, ReaderBlocked,
+              [&] { return !Waiting || Cancelled; });
   if (Cancelled)
     return false;
   Waiting.emplace(std::move(S));
@@ -874,9 +899,8 @@ int main(int Argc, char **Argv) {
                          std::move(Header.Activities), Header.Procs, WOpts);
       }
       LIMA_SPAN("monitor.fold");
-      for (const trace::Event &E : Batch.Events)
-        if (Error Err = Analyzer->addEvent(E))
-          fail(std::move(Err));
+      if (Error Err = Analyzer->addEvents(Batch.Events))
+        fail(std::move(Err));
       static metrics::Counter &EventsTotal =
           metrics::counter("lima.monitor.events_total");
       EventsTotal.add(Batch.Events.size());

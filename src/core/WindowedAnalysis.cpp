@@ -15,6 +15,32 @@ using namespace lima::core;
 using trace::Event;
 using trace::EventKind;
 
+namespace {
+
+/// 2^64: a window index at or past it does not fit in uint64_t.
+constexpr double TwoTo64 = 18446744073709551616.0;
+
+/// The least time T >= 0 at which the monotone predicate \p Reached
+/// holds, searched ulp by ulp from \p Guess, a rounded product that
+/// lands within a few ulps of it on either side.  +inf when no finite
+/// time reaches it.
+template <typename Pred> double leastTime(double Guess, Pred Reached) {
+  if (!Reached(Guess)) {
+    while (Guess < INFINITY && !Reached(Guess))
+      Guess = std::nextafter(Guess, INFINITY);
+    return Guess;
+  }
+  while (Guess > 0.0) {
+    double Below = std::nextafter(Guess, 0.0);
+    if (!Reached(Below))
+      break;
+    Guess = Below;
+  }
+  return Guess;
+}
+
+} // namespace
+
 WindowedAnalyzer::WindowedAnalyzer(std::vector<std::string> Regions,
                                    std::vector<std::string> Activities,
                                    unsigned Procs, WindowedOptions Opts)
@@ -26,18 +52,37 @@ WindowedAnalyzer::WindowedAnalyzer(std::vector<std::string> Regions,
   this->Procs.resize(NumProcs);
   for (ProcState &P : this->Procs)
     P.OpenActivity = trace::Trace::InvalidId;
+  moveCursor(0);
 }
 
 uint64_t WindowedAnalyzer::windowIndexOf(double Time) const {
   double K = std::floor(Time / Options.WindowSeconds);
-  if (K <= 0.0)
-    return 0;
-  // Casting a double at or beyond 2^64 to uint64_t is undefined
-  // behavior; saturate instead (the limit checks reject such indices
-  // long before 2^64 anyway).
-  if (K >= 18446744073709551616.0) // 2^64
-    return UINT64_MAX;
-  return static_cast<uint64_t>(K);
+  // seekCursor rejects the times whose index does not fit.
+  assert(K < TwoTo64 && "window index past 2^64");
+  return K <= 0.0 ? 0 : static_cast<uint64_t>(K);
+}
+
+void WindowedAnalyzer::moveCursor(uint64_t Index) {
+  double W = Options.WindowSeconds;
+  double K = static_cast<double>(Index); // Exact: Index came from a double.
+  double Start = K * W;
+  Cursor.Index = Index;
+  Cursor.SplitHi = static_cast<double>(Index + 1) * W;
+  // An interval closes inline only where accumulateInterval would add
+  // it as one difference, which it never does when no interval may span
+  // a window at all.
+  Cursor.SplitLo = Options.MaxIntervalWindows != 0 ? Start : INFINITY;
+  // floor(t/W) is monotone in t, so window K's times form one interval.
+  // Its ends are found from the products K*W and (K+1)*W, never taken
+  // as they are: for W = 0.001, t = 0.009 lies in window 9 although
+  // 9*W = 0.009000000000000001 > t.
+  Cursor.Lo = Index == 0 ? 0.0 : leastTime(Start, [&](double T) {
+    return std::floor(T / W) >= K;
+  });
+  Cursor.Hi = leastTime(Cursor.SplitHi,
+                        [&](double T) { return std::floor(T / W) > K; });
+  auto It = Windows.find(Index);
+  Cursor.Accum = It == Windows.end() ? nullptr : &It->second;
 }
 
 WindowedAnalyzer::WindowAccum *WindowedAnalyzer::windowAt(uint64_t Index) {
@@ -53,11 +98,24 @@ WindowedAnalyzer::WindowAccum *WindowedAnalyzer::windowAt(uint64_t Index) {
   return &It->second;
 }
 
-Error WindowedAnalyzer::accumulateInterval(uint32_t Region, uint32_t Activity,
-                                           unsigned Proc, double Begin,
-                                           double End) {
+Error WindowedAnalyzer::tooManyWindows() const {
+  return makeCodedError(ErrorCode::LimitExceeded,
+                        "more than %llu windows in flight; drain more "
+                        "often or widen --window",
+                        static_cast<unsigned long long>(
+                            Options.MaxWindowsInFlight));
+}
+
+bool WindowedAnalyzer::reject(Error Err) {
+  Rejected = Err.toParseError();
+  return false;
+}
+
+bool WindowedAnalyzer::accumulateInterval(uint32_t Region, uint32_t Activity,
+                                          unsigned Proc, double Begin,
+                                          double End) {
   if (End <= Begin) // Zero-length intervals add nothing (reduceTrace adds 0.0).
-    return Error::success();
+    return true;
   double W = Options.WindowSeconds;
   uint64_t First = windowIndexOf(Begin);
   // Fail before allocating: a finite but absurd end time (say 1e15 s
@@ -65,13 +123,12 @@ Error WindowedAnalyzer::accumulateInterval(uint32_t Region, uint32_t Activity,
   // window across the whole span.
   uint64_t Last = windowIndexOf(End);
   if (Last - First >= Options.MaxIntervalWindows)
-    return makeCodedError(ErrorCode::LimitExceeded,
-                          "proc %u: interval [%.9f, %.9f) spans more than "
-                          "%llu windows of %.9f s",
-                          Proc, Begin, End,
-                          static_cast<unsigned long long>(
-                              Options.MaxIntervalWindows),
-                          W);
+    return reject(makeCodedError(
+        ErrorCode::LimitExceeded,
+        "proc %u: interval [%.9f, %.9f) spans more than %llu windows of "
+        "%.9f s",
+        Proc, Begin, End,
+        static_cast<unsigned long long>(Options.MaxIntervalWindows), W));
   for (uint64_t K = First;; ++K) {
     double WinStart = static_cast<double>(K) * W;
     if (WinStart >= End)
@@ -85,107 +142,144 @@ Error WindowedAnalyzer::accumulateInterval(uint32_t Region, uint32_t Activity,
     if (Hi > Lo) {
       WindowAccum *Accum = windowAt(K);
       if (!Accum)
-        return makeCodedError(ErrorCode::LimitExceeded,
-                              "more than %llu windows in flight; drain "
-                              "more often or widen --window",
-                              static_cast<unsigned long long>(
-                                  Options.MaxWindowsInFlight));
+        return reject(tooManyWindows());
       Accum->Cube.accumulate(Region, Activity, Proc, Hi - Lo);
       Accum->AnyTime = true;
     }
   }
-  return Error::success();
+  return true;
 }
 
-Error WindowedAnalyzer::addEvent(const Event &E) {
-  assert(!Finished && "addEvent after finish()");
+bool WindowedAnalyzer::seekCursor(const Event &E) {
   if (E.Proc >= NumProcs)
-    return makeCodedError(ErrorCode::ValueOutOfRange,
-                          "event processor %u out of range (trace declares "
-                          "%u)",
-                          E.Proc, NumProcs);
+    return reject(makeCodedError(ErrorCode::ValueOutOfRange,
+                                 "event processor %u out of range (trace "
+                                 "declares %u)",
+                                 E.Proc, NumProcs));
   // The parsers reject non-finite times, but events can also arrive
   // from in-memory traces; a non-finite time would poison the window
   // index arithmetic, so it is always an error here too.
   if (!std::isfinite(E.Time) || E.Time < 0.0)
-    return makeCodedError(ErrorCode::ValueOutOfRange,
-                          "proc %u event time %f is not finite and "
-                          "non-negative",
-                          E.Proc, E.Time);
-  ProcState &P = Procs[E.Proc];
-  if (P.AnyEvents && E.Time < P.LastTime) {
-    Error Err = makeCodedError(ErrorCode::StructuralError,
-                               "proc %u time goes backwards (%.9f after %.9f)",
-                               E.Proc, E.Time, P.LastTime);
-    if (Options.Mode != ParseMode::Lenient)
-      return Err;
-    // Dropped before it touches the clock, the watermark or any window:
-    // the window it falls in may already have been drained.
-    ParseError PE = Err.toParseError();
-    if (Options.Report) {
-      ++Options.Report->TotalRecords;
-      Options.Report->addDrop(std::move(PE));
-    }
-    return Error::success();
+    return reject(makeCodedError(ErrorCode::ValueOutOfRange,
+                                 "proc %u event time %f is not finite and "
+                                 "non-negative",
+                                 E.Proc, E.Time));
+  // Past window 2^64 the index wraps, and an interval's walk over its
+  // windows would never end.
+  if (E.Time / Options.WindowSeconds >= TwoTo64)
+    return reject(makeCodedError(ErrorCode::LimitExceeded,
+                                 "proc %u event time %.9g is 2^64 or more "
+                                 "windows of %g s; widen --window",
+                                 E.Proc, E.Time, Options.WindowSeconds));
+  moveCursor(windowIndexOf(E.Time));
+  return true;
+}
+
+bool WindowedAnalyzer::openCursorWindow() {
+  Cursor.Accum = windowAt(Cursor.Index);
+  return Cursor.Accum ? true : reject(tooManyWindows());
+}
+
+bool WindowedAnalyzer::dropRegression(const Event &E) {
+  Error Err = makeCodedError(ErrorCode::StructuralError,
+                             "proc %u time goes backwards (%.9f after %.9f)",
+                             E.Proc, E.Time, Procs[E.Proc].LastTime);
+  if (Options.Mode != ParseMode::Lenient)
+    return reject(std::move(Err));
+  // Dropped before it touches the clock, the watermark or any window:
+  // the window it falls in may already have been drained.
+  ParseError PE = Err.toParseError();
+  if (Options.Report) {
+    ++Options.Report->TotalRecords;
+    Options.Report->addDrop(std::move(PE));
   }
+  return true;
+}
+
+bool WindowedAnalyzer::malformed(const Event &E, const char *What) {
+  ParseError PE{ErrorCode::StructuralError, 0, NoByteOffset,
+                "proc " + std::to_string(E.Proc) + ": " + What};
+  if (Options.Mode != ParseMode::Lenient) {
+    Rejected = std::move(PE);
+    return false;
+  }
+  if (Options.Report)
+    Options.Report->addDrop(std::move(PE));
+  return true;
+}
+
+// Inline in addEvents' loop: an accepted event inside the cursor's
+// window, whose interval (if it ends one) began in the same window,
+// never leaves this function.
+[[gnu::always_inline]] inline bool
+WindowedAnalyzer::foldEvent(const Event &E) {
+  // One range test covers the processor, a non-finite, negative or
+  // too-late time, and a window change: all leave through seekCursor.
+  if ((E.Proc >= NumProcs || !(E.Time >= Cursor.Lo && E.Time < Cursor.Hi)) &&
+      !seekCursor(E))
+    return false;
+  ProcState &P = Procs[E.Proc];
+  // LastTime starts at 0 and no time is below 0, so a processor's first
+  // event never regresses.
+  if (E.Time < P.LastTime)
+    return dropRegression(E);
   if (Options.Report)
     ++Options.Report->TotalRecords;
 
   // Mirrors TraceReduction's lenient contract: a structurally
   // impossible event is dropped and counted instead of aborting.  A
-  // drop returns success so the event still reaches the timeline
-  // updates below — its timestamp advances the processor clock and the
-  // watermark, exactly like reduceTrace's span — it just attributes no
-  // time.
-  auto malformed = [&](const char *What) -> Error {
-    ParseError PE{ErrorCode::StructuralError, 0, NoByteOffset,
-                  "proc " + std::to_string(E.Proc) + ": " + What};
-    if (Options.Mode == ParseMode::Lenient) {
-      if (Options.Report)
-        Options.Report->addDrop(std::move(PE));
-      return Error::success();
-    }
-    return Error::fromParse(std::move(PE));
-  };
-
+  // drop still reaches the timeline updates below — its timestamp
+  // advances the processor clock and the watermark, exactly like
+  // reduceTrace's span — it just attributes no time.
   switch (E.Kind) {
   case EventKind::RegionEnter:
     if (E.Id >= RegionNames.size())
-      return makeCodedError(ErrorCode::ValueOutOfRange,
-                            "event region %u out of range", E.Id);
+      return reject(makeCodedError(ErrorCode::ValueOutOfRange,
+                                   "event region %u out of range", E.Id));
     P.Stack.push_back({E.Id});
     break;
   case EventKind::RegionExit:
     if (P.Stack.empty()) {
-      if (auto Err = malformed("region exit without matching enter"))
-        return Err;
+      if (!malformed(E, "region exit without matching enter"))
+        return false;
     } else
       P.Stack.pop_back();
     break;
   case EventKind::ActivityBegin:
     if (E.Id >= ActivityNames.size())
-      return makeCodedError(ErrorCode::ValueOutOfRange,
-                            "event activity %u out of range", E.Id);
+      return reject(makeCodedError(ErrorCode::ValueOutOfRange,
+                                   "event activity %u out of range", E.Id));
     if (P.Stack.empty()) {
-      if (auto Err = malformed("activity begins outside any region"))
-        return Err;
+      if (!malformed(E, "activity begins outside any region"))
+        return false;
     } else {
       P.OpenActivity = E.Id;
       P.ActivityBeginTime = E.Time;
+      P.BeginWindow = E.Time >= Cursor.SplitLo ? Cursor.Index : NoWindow;
     }
     break;
   case EventKind::ActivityEnd:
     if (P.Stack.empty()) {
-      if (auto Err = malformed("activity ends outside any region"))
-        return Err;
+      if (!malformed(E, "activity ends outside any region"))
+        return false;
     } else if (P.OpenActivity == trace::Trace::InvalidId) {
-      if (auto Err = malformed("activity end without matching begin"))
-        return Err;
+      if (!malformed(E, "activity end without matching begin"))
+        return false;
     } else {
-      if (auto Err = accumulateInterval(P.Stack.back().Region,
+      // Begin and end inside [K*W, (K+1)*W] of the cursor's window K:
+      // accumulateInterval would add this same one difference there.
+      if (P.BeginWindow == Cursor.Index && E.Time <= Cursor.SplitHi &&
+          Cursor.Accum) {
+        if (E.Time > P.ActivityBeginTime) {
+          Cursor.Accum->Cube.accumulate(P.Stack.back().Region,
                                         P.OpenActivity, E.Proc,
-                                        P.ActivityBeginTime, E.Time))
-        return Err;
+                                        E.Time - P.ActivityBeginTime);
+          Cursor.Accum->AnyTime = true;
+        }
+      } else if (!accumulateInterval(P.Stack.back().Region, P.OpenActivity,
+                                     E.Proc, P.ActivityBeginTime, E.Time)) {
+        return false;
+      }
       P.OpenActivity = trace::Trace::InvalidId;
     }
     break;
@@ -198,22 +292,28 @@ Error WindowedAnalyzer::addEvent(const Event &E) {
   P.AnyEvents = true;
   MaxTime = std::max(MaxTime, E.Time);
   ++EventsSeen;
-  WindowAccum *Accum = windowAt(windowIndexOf(E.Time));
-  if (!Accum)
-    return makeCodedError(ErrorCode::LimitExceeded,
-                          "more than %llu windows in flight; drain more "
-                          "often or widen --window",
-                          static_cast<unsigned long long>(
-                              Options.MaxWindowsInFlight));
-  Accum->Events += 1;
+  if (!Cursor.Accum && !openCursorWindow())
+    return false;
+  Cursor.Accum->Events += 1;
+  return true;
+}
+
+Error WindowedAnalyzer::addEvents(std::span<const Event> Events) {
+  assert(!Finished && "addEvent after finish()");
+  for (const Event &E : Events)
+    if (!foldEvent(E))
+      return Error::fromParse(std::move(Rejected));
   return Error::success();
 }
 
+Error WindowedAnalyzer::addEvent(const Event &E) { return addEvents({&E, 1}); }
+
 Error WindowedAnalyzer::addTrace(const trace::Trace &T) {
+  assert(!Finished && "addTrace after finish()");
   for (unsigned Proc = 0; Proc != T.numProcs(); ++Proc)
     for (const Event &E : T.events(Proc))
-      if (auto Err = addEvent(E))
-        return Err;
+      if (!foldEvent(E))
+        return Error::fromParse(std::move(Rejected));
   return Error::success();
 }
 
@@ -271,6 +371,7 @@ std::vector<WindowResult> WindowedAnalyzer::drainUpTo(double Bound,
       Out.push_back(emitWindow(It->first, std::move(It->second)));
     It = Windows.erase(It);
   }
+  Cursor.Accum = nullptr;
   return Out;
 }
 

@@ -34,6 +34,13 @@
 /// only accumulates on ActivityEnd); gap attribution is not supported
 /// here.
 ///
+/// Cost: the analyzer keeps a cursor on the window the last event fell
+/// in, with the exact range of times whose window floor(t/W) is that
+/// one, so an event inside it costs no division and no map lookup, and
+/// an interval that begins and ends there is added straight into the
+/// cursor's accumulator.  Window changes, splits, drops and errors leave
+/// that path for out-of-line code (DESIGN.md §10).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef LIMA_CORE_WINDOWEDANALYSIS_H
@@ -45,6 +52,7 @@
 #include "support/ParseLimits.h"
 #include "trace/Event.h"
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -73,7 +81,8 @@ struct WindowedOptions {
   /// finite but absurd timestamp must not drive unbounded work.  A
   /// closed interval may span at most MaxIntervalWindows windows, and
   /// at most MaxWindowsInFlight windows may be held before draining;
-  /// exceeding either fails addEvent with ErrorCode::LimitExceeded.
+  /// exceeding either fails addEvent with ErrorCode::LimitExceeded, as
+  /// does an event time of 2^64 or more windows.
   /// The defaults accept any plausible real cadence (a million windows
   /// is 11 days at 1 s width) while bounding allocation.
   uint64_t MaxIntervalWindows = 1ull << 20;
@@ -122,6 +131,10 @@ public:
   /// always errors.
   Error addEvent(const trace::Event &E);
 
+  /// addEvent over \p Events in order, stopping at the first error.
+  /// Same rules, same results; it builds no Error for an accepted event.
+  Error addEvents(std::span<const trace::Event> Events);
+
   /// Convenience: feeds every event of \p T in processor-major order
   /// (the same order writeTraceText emits).
   Error addTrace(const trace::Trace &T);
@@ -145,12 +158,19 @@ public:
   double windowSeconds() const { return Options.WindowSeconds; }
 
 private:
+  /// BeginWindow of an interval that cannot close as one difference.
+  static constexpr uint64_t NoWindow = UINT64_MAX;
+
   struct ProcState {
     struct Frame {
       uint32_t Region;
     };
     std::vector<Frame> Stack;
     uint32_t OpenActivity;
+    /// The window the open activity began in, when it began at or past
+    /// that window's K*W (so an end in the same window adds the plain
+    /// End - Begin); NoWindow otherwise.
+    uint64_t BeginWindow = NoWindow;
     double ActivityBeginTime = 0.0;
     double LastTime = 0.0;
     bool AnyEvents = false;
@@ -163,17 +183,47 @@ private:
     explicit WindowAccum(MeasurementCube C) : Cube(std::move(C)) {}
   };
 
+  /// The window the last event fell in.  A time lies in [Lo, Hi) exactly
+  /// when windowIndexOf gives Index.  SplitLo and SplitHi are the K*W and
+  /// (K+1)*W products accumulateInterval clips an interval at.
+  struct WindowCursor {
+    uint64_t Index = 0;
+    double Lo = 0.0, Hi = 0.0;
+    double SplitLo = 0.0, SplitHi = 0.0;
+    /// The window's accumulator; null until the window exists, and after
+    /// every drain (drainUpTo erases map nodes).
+    WindowAccum *Accum = nullptr;
+  };
+
+  /// The per-event rules, once, for addEvent, addEvents and addTrace.
+  /// False when \p E failed; the error is then in Rejected.
+  bool foldEvent(const trace::Event &E);
+  /// Out of line: validates \p E's processor and time, then moves the
+  /// cursor to the time's window.
+  bool seekCursor(const trace::Event &E);
+  void moveCursor(uint64_t Index);
+  /// Out of line: allocates the cursor's window for its first event.
+  bool openCursorWindow();
+  /// Out of line: the drop or error of a time regression.
+  bool dropRegression(const trace::Event &E);
+  /// Out of line: a structurally impossible event, dropped and counted
+  /// (true) in lenient mode, rejected in strict mode.
+  bool malformed(const trace::Event &E, const char *What);
+  /// Stores \p Err in Rejected; always false.
+  bool reject(Error Err);
+  Error tooManyWindows() const;
+
   uint64_t windowIndexOf(double Time) const;
   /// The accumulator for window \p Index, or null when allocating it
   /// would exceed MaxWindowsInFlight.
   WindowAccum *windowAt(uint64_t Index);
   /// Splits [Begin, End) across windows and accumulates into cell
   /// (Region, Activity, Proc).  An interval inside one window is added
-  /// as a single plain difference.  Fails with LimitExceeded when the
+  /// as a single plain difference.  Rejects with LimitExceeded when the
   /// interval spans more than MaxIntervalWindows windows or the
   /// in-flight cap is hit.
-  Error accumulateInterval(uint32_t Region, uint32_t Activity, unsigned Proc,
-                           double Begin, double End);
+  bool accumulateInterval(uint32_t Region, uint32_t Activity, unsigned Proc,
+                          double Begin, double End);
   WindowResult emitWindow(uint64_t Index, WindowAccum &&Accum);
   std::vector<WindowResult> drainUpTo(double Bound, bool Flush);
 
@@ -183,6 +233,9 @@ private:
   WindowedOptions Options;
   std::vector<ProcState> Procs;
   std::map<uint64_t, WindowAccum> Windows;
+  WindowCursor Cursor;
+  /// The error of the event foldEvent last rejected.
+  ParseError Rejected;
   double MaxTime = 0.0;
   uint64_t EventsSeen = 0;
   /// EventsSeen at the last drain, when lima.windowed.events_total was

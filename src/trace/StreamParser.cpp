@@ -14,7 +14,7 @@ using namespace lima::trace;
 StreamParser::StreamParser(ParseOptions Opts) : Options(std::move(Opts)) {}
 
 Error StreamParser::parseLine(std::string_view RawLine,
-                              std::vector<Event> &Out) {
+                              std::vector<Event> &Out, bool Declined) {
   const ParseLimits &Limits = Options.Limits;
   ++LineNo;
   size_t LineOffset = StreamOffset;
@@ -40,15 +40,16 @@ Error StreamParser::parseLine(std::string_view RawLine,
   std::string_view Line = scan::skipLeadingSpace(RawLine);
   if (Line.empty() || Line.front() == '#')
     return Error::success();
-  scan::EventTables Tables;
-  Tables.SawProcs = SawProcs;
-  Tables.NumProcs = NumProcs;
-  Tables.NumRegions = Regions.size();
-  Tables.NumActivities = Activities.size();
+  scan::EventTables Tables{SawProcs, NumProcs, Regions.size(),
+                           Activities.size()};
   // Past 'procs', a canonical event line needs no tokenizing; every
-  // other line, and every error, takes the generic path below.
+  // other line, and every error, takes the generic path below.  A line
+  // feedLines' in-place scan declined is not scanned again.
   Event E;
-  if (SawProcs && scan::tryCanonicalEvent(Line, Tables, E, CanonicalMisses)) {
+  if (Declined) {
+    scan::noteCanonicalTrial(Line, false, CanonicalMisses);
+  } else if (SawProcs &&
+             scan::tryCanonicalEvent(Line, Tables, E, CanonicalMisses)) {
     if (Options.Report)
       ++Options.Report->TotalRecords;
     return append(E);
@@ -147,7 +148,12 @@ Error StreamParser::feed(std::string_view Bytes, std::vector<Event> &Out) {
 
 // Complete lines are parsed in place from \p Bytes; only a line cut by
 // the chunk's end is copied, into Buffer, so a chunk costs no copy of
-// itself.  After an error Buffer holds the bytes past the failing line,
+// itself.  Past 'procs', a line that starts like an event goes first
+// through the canonical recognizer, run straight on \p Bytes: it finds
+// the line's '\n' as it reads the fields, so an accepted line is read
+// once.  A line it declines, one the chunk's end cuts, one over
+// MaxLineBytes or one that would pass MaxEvents takes parseLine as
+// before.  After an error Buffer holds the bytes past the failing line,
 // as if the whole chunk had been buffered.
 Error StreamParser::feedLines(std::string_view Bytes,
                               std::vector<Event> &Out) {
@@ -167,12 +173,38 @@ Error StreamParser::feedLines(std::string_view Bytes,
       Buffer.clear();
     }
   }
+  const ParseLimits &Limits = Options.Limits;
   size_t Start = 0;
-  for (;;) {
+  while (Start != Bytes.size()) {
+    bool Declined = false;
+    if (SawProcs && CanonicalMisses != scan::MaxCanonicalMisses &&
+        !scan::isSpaceByte(Bytes[Start]) && Bytes[Start] != '#') {
+      std::string_view Rest = Bytes.substr(Start);
+      Event E;
+      size_t Length = 0;
+      if (!scan::scanCanonicalEvent(Rest,
+                                    {true, NumProcs, Regions.size(),
+                                     Activities.size()},
+                                    E, Length)) {
+        Declined = true;
+      } else if (Length != Rest.size() && Length <= Limits.MaxLineBytes &&
+                 TotalEvents < Limits.MaxEvents) {
+        ++LineNo;
+        StreamOffset += Length + 1;
+        Start += Length + 1;
+        scan::noteCanonicalTrial(Rest.substr(0, Length), true,
+                                 CanonicalMisses);
+        if (Options.Report)
+          ++Options.Report->TotalRecords;
+        ++TotalEvents;
+        Out.push_back(E);
+        continue;
+      }
+    }
     size_t Newline = Bytes.find('\n', Start);
     if (Newline == std::string_view::npos)
       break;
-    Error Err = parseLine(Bytes.substr(Start, Newline - Start), Out);
+    Error Err = parseLine(Bytes.substr(Start, Newline - Start), Out, Declined);
     StreamOffset += Newline - Start + 1;
     Start = Newline + 1;
     if (Err) {

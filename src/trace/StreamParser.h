@@ -63,7 +63,10 @@ public:
 
 private:
   Error feedLines(std::string_view Bytes, std::vector<Event> &Out);
-  Error parseLine(std::string_view RawLine, std::vector<Event> &Out);
+  /// Parses one complete line.  \p Declined: the canonical recognizer
+  /// already declined it, so only its miss is counted.
+  Error parseLine(std::string_view RawLine, std::vector<Event> &Out,
+                  bool Declined = false);
 
   ParseOptions Options;
   std::string Buffer;      ///< Bytes of the current incomplete line.

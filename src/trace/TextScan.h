@@ -16,7 +16,10 @@
 ///    event-section line; it either produces the exact Event the
 ///    generic path below would produce, or returns false and leaves
 ///    the line to that path.  It never decides an error: every drop,
-///    message and count still comes from parseEventRecord.
+///    message and count still comes from parseEventRecord.  It finds
+///    the line's end itself, so the stream parser runs it straight on
+///    its read buffer, while the batch and sharded parsers hand it one
+///    line they already cut.
 ///  - splitFields: an in-place cursor tokenizer that replaces the
 ///    per-line splitWhitespace() vector (one heap allocation per line)
 ///    with a fixed field array on the caller's stack;
@@ -39,17 +42,17 @@
 ///   time   := digits ['.' digits] [('e'|'E') ['+'|'-'] digits]
 ///
 /// with single-space separators (trailing whitespace, such as a CR, is
-/// what splitFields ignores too) and every range check of
-/// parseEventRecord.  A time is accepted only with at most 19 digits
-/// (leading zeros included), a decimal mantissa M <= 2^53 and an
-/// effective power of ten |p| <= 22.  Then M and 10^|p| are both exact
-/// doubles and the value is one IEEE operation, M * 10^p or M / 10^-p,
-/// whose correctly rounded result is the correctly rounded decimal:
-/// exactly what from_chars returns (Clinger's fast path).  Never a
-/// multiply by a reciprocal power, which is not exact.  There is no
-/// sign, so the result is finite, non-negative, never -0 and never
-/// subnormal: every check scanDouble and parseEventRecord apply to a
-/// time holds by construction.
+/// what splitFields ignores too), the line ending at its first '\n',
+/// and every range check of parseEventRecord.  A time is accepted only
+/// with at most 19 digits (leading zeros included), a decimal mantissa
+/// M <= 2^53 and an effective power of ten |p| <= 22.  Then M and 10^|p|
+/// are both exact doubles and the value is one IEEE operation, M * 10^p
+/// or M / 10^-p, whose correctly rounded result is the correctly
+/// rounded decimal: exactly what from_chars returns (Clinger's fast
+/// path).  Never a multiply by a reciprocal power, which is not exact.
+/// There is no sign, so the result is finite, non-negative, never -0
+/// and never subnormal: every check scanDouble and parseEventRecord
+/// apply to a time holds by construction.
 ///
 /// Everything here is internal to lima_trace; no stability promises.
 ///
@@ -62,6 +65,7 @@
 #include "support/StringUtils.h"
 #include "trace/Event.h"
 #include <bit>
+#include <cassert>
 #include <cfloat>
 #include <charconv>
 #include <cmath>
@@ -375,20 +379,25 @@ inline bool readSeparator(const char *&P, const char *End) {
   return true;
 }
 
-/// Tries \p Line (already left-trimmed) as a canonical event line.  On
-/// true, \p E holds exactly what parseEventRecord would have stored for
-/// this line (Bytes is written only for message events, as there); on
-/// false nothing was written and the caller runs the generic path.
-inline bool scanCanonicalEvent(std::string_view Line,
-                               const EventTables &Tables, Event &E) {
+/// Tries the line at the start of \p Text (already left-trimmed) as a
+/// canonical event line.  The line ends at the first '\n' or at the end
+/// of \p Text, whichever comes first; no byte past that '\n' decides
+/// anything.  On true, \p E holds exactly what parseEventRecord would
+/// have stored for this line (Bytes is written only for message events,
+/// as there) and \p LineEnd is the line's length: the offset of its
+/// '\n', or Text.size() when \p Text ends first.  On false nothing was
+/// written and the caller runs the generic path.
+inline bool scanCanonicalEvent(std::string_view Text,
+                               const EventTables &Tables, Event &E,
+                               size_t &LineEnd) {
   // The shortest canonical line is "re 0 0 0".
-  if (!ExactDoubleArithmetic || !Tables.SawProcs || Line.size() < 8 ||
-      Line[2] != ' ')
+  if (!ExactDoubleArithmetic || !Tables.SawProcs || Text.size() < 8 ||
+      Text[2] != ' ')
     return false;
   EventKind Kind;
   size_t IdLimit;
-  switch ((static_cast<unsigned char>(Line[0]) << 8) |
-          static_cast<unsigned char>(Line[1])) {
+  switch ((static_cast<unsigned char>(Text[0]) << 8) |
+          static_cast<unsigned char>(Text[1])) {
   case ('r' << 8) | 'e':
     Kind = EventKind::RegionEnter;
     IdLimit = Tables.NumRegions;
@@ -419,8 +428,9 @@ inline bool scanCanonicalEvent(std::string_view Line,
   bool IsMessage =
       Kind == EventKind::MessageSend || Kind == EventKind::MessageRecv;
 
-  const char *P = Line.data() + 3;
-  const char *End = Line.data() + Line.size();
+  // No field reader consumes a '\n', so none reads into the next line.
+  const char *P = Text.data() + 3;
+  const char *End = Text.data() + Text.size();
   uint64_t Proc = 0, Id = 0, Bytes = 0;
   double Time = 0.0;
   if (!readCanonicalUnsigned(P, End, Proc) || !readSeparator(P, End) ||
@@ -430,11 +440,12 @@ inline bool scanCanonicalEvent(std::string_view Line,
   if (IsMessage &&
       (!readSeparator(P, End) || !readCanonicalUnsigned(P, End, Bytes)))
     return false;
-  for (; P != End; ++P)
+  for (; P != End && *P != '\n'; ++P)
     if (!isSpaceByte(*P))
       return false;
   if (Proc >= Tables.NumProcs || Id > UINT32_MAX || Id >= IdLimit)
     return false;
+  LineEnd = static_cast<size_t>(P - Text.data());
 
   E.Kind = Kind;
   E.Proc = static_cast<uint32_t>(Proc);
@@ -454,25 +465,35 @@ inline bool scanCanonicalEvent(std::string_view Line,
 /// hit must not wipe the count).
 inline constexpr unsigned MaxCanonicalMisses = 64;
 
-/// scanCanonicalEvent behind the miss rule.  Each consumer keeps one
-/// \p Misses counter (the sharded parser one per shard): a miss adds
-/// one, a hit takes one back, and once it reaches MaxCanonicalMisses
-/// the fast path is not tried again.  Declarations are declined at
-/// their third byte, so they do not count.  Whether the fast path runs
-/// never changes a result, only what the parse costs.
+/// The miss rule.  Each consumer keeps one \p Misses counter (the
+/// sharded parser one per shard) and notes here every complete,
+/// left-trimmed \p Line it tried the fast path on: a miss adds one, a
+/// hit takes one back, and once it reaches MaxCanonicalMisses the fast
+/// path is not tried again.  Declarations are declined at their third
+/// byte, so they do not count.  Whether the fast path runs never
+/// changes a result, only what the parse costs.
+inline void noteCanonicalTrial(std::string_view Line, bool Hit,
+                               unsigned &Misses) {
+  if (Hit) {
+    if (Misses != 0)
+      --Misses;
+  } else if (Line.size() > 2 && Line[2] == ' ') {
+    ++Misses;
+  }
+}
+
+/// scanCanonicalEvent on one \p Line (no '\n' in it), behind the miss
+/// rule.
 inline bool tryCanonicalEvent(std::string_view Line,
                               const EventTables &Tables, Event &E,
                               unsigned &Misses) {
   if (Misses == MaxCanonicalMisses)
     return false;
-  if (scanCanonicalEvent(Line, Tables, E)) {
-    if (Misses != 0)
-      --Misses;
-    return true;
-  }
-  if (Line.size() > 2 && Line[2] == ' ')
-    ++Misses;
-  return false;
+  size_t LineEnd = 0;
+  bool Hit = scanCanonicalEvent(Line, Tables, E, LineEnd);
+  assert((!Hit || LineEnd == Line.size()) && "a line holds no '\\n'");
+  noteCanonicalTrial(Line, Hit, Misses);
+  return Hit;
 }
 
 /// The processor an event line names, by the rule the sharded parser's

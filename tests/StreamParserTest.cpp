@@ -202,6 +202,63 @@ TEST(StreamParserTest, EventLimitEnforced) {
              Events)));
 }
 
+TEST(StreamParserTest, InPlaceScanKeepsLimitsLinesAndOffsets) {
+  // A chunk that holds a canonical line whole parses it in place; a
+  // chunk of a few bytes cuts every line, which then takes the buffered
+  // path.  Both must give the same events, and fail at the same line
+  // and byte offset with the same message.  The header is 4 lines, 44
+  // bytes.
+  const std::string Header =
+      "LIMATRACE 1\nprocs 1\nregion 0 r\nactivity 0 a\n";
+  struct Case {
+    const char *Name;
+    std::string Body;
+    ParseLimits Limits;
+    size_t Events;   ///< Without an error.
+    size_t FailLine; ///< 0: no error.
+    size_t FailOffset;
+    const char *Message;
+  };
+  ParseLimits TwoEvents, ShortLines;
+  TwoEvents.MaxEvents = 2;
+  ShortLines.MaxLineBytes = 12;
+  const Case Cases[] = {
+      {"line ends", "re 0 0.0 0\r\n\tab 0 0.1 0\nae 0 0.2 0 \t\n\n# c\nrx 0 0.2 0",
+       {}, 4, 0, 0, ""},
+      {"event limit", "re 0 0.0 0\nab 0 0.1 0\nae 0 0.2 0\n", TwoEvents, 0, 7,
+       66, "trace line 7: event count exceeds the limit"},
+      {"line limit", "re 0 0.0 0\nab 0 0.123456789 0\n", ShortLines, 0, 6, 55,
+       "trace line 6: line exceeds the length limit"}};
+  for (const Case &C : Cases) {
+    std::string Text = Header + C.Body;
+    ParseOptions Options;
+    Options.Limits = C.Limits;
+    std::vector<Event> First;
+    for (size_t Chunk : {Text.size(), size_t(1), size_t(5)}) {
+      std::string Context =
+          std::string(C.Name) + ", chunk " + std::to_string(Chunk);
+      auto EventsOrErr = parseChunked(Text, Chunk, Options);
+      if (C.FailLine == 0) {
+        ASSERT_TRUE(static_cast<bool>(EventsOrErr)) << Context;
+        ASSERT_EQ(EventsOrErr->size(), C.Events) << Context;
+        if (First.empty())
+          First = *EventsOrErr;
+        for (size_t I = 0; I != First.size(); ++I) {
+          EXPECT_EQ((*EventsOrErr)[I].Time, First[I].Time) << Context;
+          EXPECT_EQ((*EventsOrErr)[I].Kind, First[I].Kind) << Context;
+        }
+        continue;
+      }
+      ASSERT_FALSE(static_cast<bool>(EventsOrErr)) << Context;
+      ParseError PE = EventsOrErr.takeError().toParseError();
+      EXPECT_EQ(PE.Code, ErrorCode::LimitExceeded) << Context;
+      EXPECT_EQ(PE.Line, C.FailLine) << Context;
+      EXPECT_EQ(PE.Offset, C.FailOffset) << Context;
+      EXPECT_EQ(PE.Msg, C.Message) << Context;
+    }
+  }
+}
+
 TEST(StreamParserTest, DuplicateProcsRejected) {
   StreamParser P;
   std::vector<Event> Events;

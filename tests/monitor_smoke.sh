@@ -2,7 +2,9 @@
 # Smoke test for lima_monitor: feeds a fixture trace in two separate
 # appends (exercising the incremental stream parser across a chunk
 # boundary), requires at least two emitted windows, and validates the
-# Prometheus metrics dump with check_prometheus.sh.
+# Prometheus metrics dump with check_prometheus.sh, including the two
+# hand-off wait counters.  Then a window so narrow that an event lies
+# 2^64 or more windows out must fail with exit 7 (a limit), not spin.
 # Usage: monitor_smoke.sh LIMA_MONITOR_BIN WORK_DIR CHECKER_SH
 set -eu
 
@@ -64,5 +66,39 @@ if ! grep -q '"sid_c":' "$Out" || ! grep -q '"sid_a":' "$Out"; then
 fi
 
 sh "$Checker" "$Prom"
+
+# How long each stage waited for the other.
+for Name in lima_monitor_reader_blocked_us_total \
+            lima_monitor_fold_waiting_us_total; do
+  if ! grep -q "^$Name " "$Prom"; then
+    echo "monitor_smoke: $Name missing from the metrics dump" >&2
+    exit 1
+  fi
+done
+
+# At --window 1e-300 the first event, at 0.5 s, is 5e299 windows out.
+# The monitor must reject it (LimitExceeded, exit 7) in both modes;
+# SIGKILL after 10 s catches a fold that walks the windows forever.
+Tiny="$Work/tiny-window.trace"
+cat > "$Tiny" <<'EOF'
+LIMATRACE 1
+procs 1
+region 0 loop
+activity 0 comp
+re 0 0.5 0
+ab 0 0.5 0
+ae 0 1.0 0
+rx 0 1.0 0
+EOF
+for Mode in --strict --lenient; do
+  Status=0
+  timeout -s KILL 10 "$Monitor" "$Tiny" --window 1e-300 "$Mode" \
+      > "$Work/tiny-window.out" 2>&1 || Status=$?
+  if [ "$Status" -ne 7 ]; then
+    echo "monitor_smoke: --window 1e-300 $Mode exited $Status, expected 7" >&2
+    cat "$Work/tiny-window.out" >&2
+    exit 1
+  fi
+done
 
 echo "monitor_smoke: OK ($Windows windows)"
