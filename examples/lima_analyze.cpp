@@ -332,7 +332,8 @@ int main(int Argc, char **Argv) {
        << '\n';
 
   if (Parser.getFlag("phases")) {
-    core::PhaseResult Phases = ExitOnErr(core::analyzePhases(Trace));
+    core::PhaseResult Phases =
+        ExitOnErr(core::analyzePhases(Trace, {}, Parse.Mode));
     OS << "per-instance dissimilarity (one sparkline per region):\n";
     for (const core::PhaseSeries &Series : Phases.Series) {
       if (Series.InstanceIndex.empty())
@@ -348,7 +349,7 @@ int main(int Argc, char **Argv) {
 
   if (Parser.getFlag("counting")) {
     auto Counts = ExitOnErr(core::reduceTraceCounts(
-        Trace, core::CountingMetric::MessagesSent));
+        Trace, core::CountingMetric::MessagesSent, Parse.Mode));
     core::RegionView CountView = core::computeRegionView(Counts);
     OS << "message-count imbalance per region (ID_C on counts):\n";
     for (size_t I = 0; I != Counts.numRegions(); ++I)
@@ -358,7 +359,8 @@ int main(int Argc, char **Argv) {
   }
 
   if (Parser.getFlag("waitstates")) {
-    core::WaitStateReport Waits = ExitOnErr(core::analyzeWaitStates(Trace));
+    core::WaitStateReport Waits =
+        ExitOnErr(core::analyzeWaitStates(Trace, Parse.Mode));
     OS << "late-sender wait states: " << formatFixed(Waits.TotalLateSender,
                                                      3)
        << " s across " << Waits.LateReceives << " of "

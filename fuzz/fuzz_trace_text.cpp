@@ -21,13 +21,25 @@
 // traps unless the two runs give bit-identical events, the same drop
 // counts and the same first error (code, line, byte offset, message).
 //
+// Last, the fold contract: on a trace that parses leniently, lenient
+// reduceTrace and a WindowedAnalyzer with one window wider than the
+// span must drop the same records and give the same cube bits, and a
+// strict validate error of the per-event rules must be the strict
+// windowed analyzer's error.  Traces whose span does not fit in one
+// window are skipped, and so are traces with an event less than
+// Trace::BackwardTimeTolerance behind its processor's clock: the
+// whole-trace fold accepts it, the windowed one (tolerance 0) does not.
+//
 //===----------------------------------------------------------------------===//
 
 #include "FuzzOptions.h"
+#include "core/TraceReduction.h"
+#include "core/WindowedAnalysis.h"
 #include "trace/StreamParser.h"
 #include "trace/TextScan.h"
 #include "trace/TraceIO.h"
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -146,6 +158,83 @@ void checkStreamChunks(std::string_view Text) {
   }
 }
 
+/// True when some event of \p T lies behind its processor's clock by no
+/// more than Trace::BackwardTimeTolerance.
+bool stepsBackWithinTolerance(const Trace &T) {
+  for (unsigned P = 0; P != T.numProcs(); ++P) {
+    double Clock = 0.0;
+    for (const Event &E : T.events(P)) {
+      if (E.Time + Trace::BackwardTimeTolerance < Clock)
+        continue; // Out of order in both folds.
+      if (E.Time < Clock)
+        return true;
+      Clock = E.Time;
+    }
+  }
+  return false;
+}
+
+void checkFoldContract(const Trace &T) {
+  if (T.numRegions() == 0 || T.numActivities() == 0 ||
+      stepsBackWithinTolerance(T))
+    return;
+  double Span = 0.0;
+  for (unsigned P = 0; P != T.numProcs(); ++P)
+    for (const Event &E : T.events(P))
+      Span = std::max(Span, E.Time);
+  core::WindowedOptions Window;
+  Window.WindowSeconds = 2.0 * std::max(Span, 1.0);
+  Window.EmitEmptyWindows = true;
+  if (!std::isfinite(Window.WindowSeconds))
+    return;
+
+  ParseReport Whole, Windowed;
+  core::ReductionOptions Reduction;
+  Reduction.Threads = 1;
+  Reduction.Mode = ParseMode::Lenient;
+  Reduction.Report = &Whole;
+  Expected<core::MeasurementCube> Cube = core::reduceTrace(T, Reduction);
+  if (!Cube)
+    __builtin_trap(); // Regions and activities are declared.
+  Window.Mode = ParseMode::Lenient;
+  Window.Report = &Windowed;
+  core::WindowedAnalyzer Lenient(T.regionNames(), T.activityNames(),
+                                 T.numProcs(), Window);
+  if (Error Err = Lenient.addTrace(T)) {
+    Err.consume();
+    __builtin_trap();
+  }
+  std::vector<core::WindowResult> Windows = Lenient.finish();
+  if (Windows.size() > 1 || Whole.TotalRecords != Windowed.TotalRecords ||
+      Whole.DroppedRecords != Windowed.DroppedRecords ||
+      Whole.DroppedByCode != Windowed.DroppedByCode)
+    __builtin_trap();
+  for (size_t I = 0; I != Cube->numRegions(); ++I)
+    for (size_t J = 0; J != Cube->numActivities(); ++J)
+      for (unsigned P = 0; P != Cube->numProcs(); ++P) {
+        double Cell = Windows.empty() ? 0.0 : Windows[0].Cube.time(I, J, P);
+        double Expected = Cube->time(I, J, P);
+        if (std::memcmp(&Cell, &Expected, sizeof(double)) != 0)
+          __builtin_trap();
+      }
+
+  Error Valid = T.validate();
+  if (!Valid)
+    return;
+  std::string Msg = Valid.message();
+  Valid.consume();
+  if (Msg.rfind("proc ", 0) != 0 || Msg.find(" event ") == std::string::npos)
+    return; // Message balance and open ends are whole-trace rules.
+  Window.Mode = ParseMode::Strict;
+  Window.Report = nullptr;
+  core::WindowedAnalyzer Strict(T.regionNames(), T.activityNames(),
+                                T.numProcs(), Window);
+  Error Err = Strict.addTrace(T);
+  if (!Err || Err.message() != Msg)
+    __builtin_trap();
+  Err.consume();
+}
+
 } // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t *Data, size_t Size) {
@@ -156,6 +245,8 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t *Data, size_t Size) {
 
   ParseReport Report;
   auto Lenient = trace::parseTraceText(Text, fuzz::lenientOptions(Report));
+  if (Lenient)
+    checkFoldContract(*Lenient);
   Lenient.takeError().consume();
 
   checkLines(Text);

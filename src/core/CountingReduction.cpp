@@ -6,11 +6,11 @@
 
 #include "core/CountingReduction.h"
 #include "support/Compiler.h"
-#include <vector>
+#include "support/Telemetry.h"
+#include "trace/Fold.h"
 
 using namespace lima;
 using namespace lima::core;
-using trace::Event;
 using trace::EventKind;
 
 std::string_view core::countingMetricName(CountingMetric Metric) {
@@ -27,46 +27,45 @@ std::string_view core::countingMetricName(CountingMetric Metric) {
   lima_unreachable("unknown CountingMetric");
 }
 
-Expected<MeasurementCube> core::reduceTraceCounts(const trace::Trace &T,
-                                                  CountingMetric Metric) {
-  if (auto Err = T.validate())
-    return Err;
-  if (T.numRegions() == 0)
-    return makeStringError("trace declares no regions");
+namespace {
 
-  bool WantSend = Metric == CountingMetric::MessagesSent ||
-                  Metric == CountingMetric::BytesSent;
-  bool WantBytes = Metric == CountingMetric::BytesSent ||
-                   Metric == CountingMetric::BytesReceived;
+/// The fold's sink: the wanted messages, counted or weighed by bytes.
+struct CountSink : trace::FoldSink {
+  MeasurementCube &Cube;
+  EventKind Wanted;
+  bool WeighBytes;
+
+  void message(const trace::FoldState &State, EventKind Kind, uint32_t,
+               uint64_t Bytes, double) {
+    if (Kind == Wanted && State.depth() != 0)
+      Cube.accumulate(State.innermost().Region, 0, State.proc(),
+                      WeighBytes ? static_cast<double>(Bytes) : 1.0);
+  }
+};
+
+} // namespace
+
+Expected<MeasurementCube> core::reduceTraceCounts(const trace::Trace &T,
+                                                  CountingMetric Metric,
+                                                  ParseMode Mode) {
+  LIMA_STAGE("counting");
+  LIMA_SPAN("counting.fold");
+  if (Mode == ParseMode::Strict)
+    if (auto Err = T.validate())
+      return Err;
+  if (T.numRegions() == 0)
+    return makeCodedError(ErrorCode::MissingSection,
+                          "trace declares no regions");
 
   MeasurementCube Cube(T.regionNames(),
                        {std::string(countingMetricName(Metric))},
                        T.numProcs());
-  for (unsigned Proc = 0; Proc != T.numProcs(); ++Proc) {
-    // Messages are attributed to the innermost open region.
-    std::vector<uint32_t> Stack;
-    for (const Event &E : T.events(Proc)) {
-      switch (E.Kind) {
-      case EventKind::RegionEnter:
-        Stack.push_back(E.Id);
-        break;
-      case EventKind::RegionExit:
-        Stack.pop_back();
-        break;
-      case EventKind::MessageSend:
-      case EventKind::MessageRecv: {
-        bool IsSend = E.Kind == EventKind::MessageSend;
-        if (IsSend != WantSend || Stack.empty())
-          break;
-        Cube.accumulate(Stack.back(), 0, Proc,
-                        WantBytes ? static_cast<double>(E.Bytes) : 1.0);
-        break;
-      }
-      case EventKind::ActivityBegin:
-      case EventKind::ActivityEnd:
-        break;
-      }
-    }
-  }
+  bool Sends = Metric == CountingMetric::MessagesSent ||
+               Metric == CountingMetric::BytesSent;
+  CountSink Sink{{}, Cube, Sends ? EventKind::MessageSend
+                                 : EventKind::MessageRecv,
+                 Metric == CountingMetric::BytesSent ||
+                     Metric == CountingMetric::BytesReceived};
+  trace::foldTrace(T, Mode, Sink);
   return Cube;
 }

@@ -21,6 +21,7 @@
 
 #include "core/Measurement.h"
 #include "support/Error.h"
+#include "support/ParseLimits.h"
 #include "trace/Trace.h"
 #include <string_view>
 
@@ -44,15 +45,18 @@ std::string_view countingMetricName(CountingMetric Metric);
 
 /// Reduces \p T to a cube of \p Metric counts: one region per trace
 /// region, a single pseudo-activity named after the metric, one column
-/// per processor.  Message events are attributed to the region open on
-/// the sending (receiving) processor at event time; events outside any
-/// region are dropped.  Runs trace validation first.
+/// per processor.  Message events are attributed, through the attribution
+/// fold (trace/Fold.h), to the innermost region open on the sending
+/// (receiving) processor; events outside any region are dropped.  Strict
+/// mode validates \p T first.  A trace without regions fails with
+/// MissingSection.
 ///
 /// The resulting cube's "times" are counts; the region/activity views
 /// and pattern diagrams operate on it unchanged because the methodology
 /// only relies on non-negativity and standardization.
-Expected<MeasurementCube> reduceTraceCounts(const trace::Trace &T,
-                                            CountingMetric Metric);
+Expected<MeasurementCube>
+reduceTraceCounts(const trace::Trace &T, CountingMetric Metric,
+                  ParseMode Mode = ParseMode::Strict);
 
 } // namespace core
 } // namespace lima

@@ -8,84 +8,76 @@
 #include "stats/Descriptive.h"
 #include "stats/Dispersion.h"
 #include "support/MathUtils.h"
-#include <cassert>
+#include "support/Telemetry.h"
+#include "trace/Fold.h"
 
 using namespace lima;
 using namespace lima::core;
-using trace::Event;
-using trace::EventKind;
+
+namespace {
+
+/// The fold's sink: activity time per region instance.  A frame's tag is
+/// its instance, the count of earlier enters of its region.
+struct InstanceSink : trace::FoldSink {
+  size_t Activities;
+  unsigned Procs;
+  /// PerInstance[region][instance][activity][proc] accumulated times.
+  std::vector<std::vector<std::vector<std::vector<double>>>> PerInstance;
+  /// Instance counter per (region, proc).
+  std::vector<std::vector<size_t>> InstanceCount;
+
+  InstanceSink(size_t Regions, size_t Activities, unsigned Procs)
+      : Activities(Activities), Procs(Procs), PerInstance(Regions),
+        InstanceCount(Regions, std::vector<size_t>(Procs, 0)) {}
+
+  uint64_t enter(const trace::FoldState &State, uint32_t Region, double) {
+    size_t Instance = InstanceCount[Region][State.proc()]++;
+    auto &Instances = PerInstance[Region];
+    if (Instances.size() <= Instance)
+      Instances.resize(Instance + 1,
+                       std::vector<std::vector<double>>(
+                           Activities, std::vector<double>(Procs, 0.0)));
+    return Instance;
+  }
+  bool interval(const trace::FoldState &State, uint32_t Activity,
+                double Begin, double End) {
+    const trace::FoldState::Frame &Frame = State.innermost();
+    PerInstance[Frame.Region][Frame.Tag][Activity][State.proc()] +=
+        End - Begin;
+    return true;
+  }
+};
+
+} // namespace
 
 Expected<PhaseResult> core::analyzePhases(const trace::Trace &T,
-                                          const ViewOptions &Options) {
-  if (auto Err = T.validate())
-    return Err;
+                                          const ViewOptions &Options,
+                                          ParseMode Mode) {
+  LIMA_STAGE("phases");
+  LIMA_SPAN("phases.fold");
+  if (Mode == ParseMode::Strict)
+    if (auto Err = T.validate())
+      return Err;
 
   size_t N = T.numRegions();
   size_t K = T.numActivities();
   unsigned P = T.numProcs();
-
-  // PerInstance[region][instance][activity][proc] accumulated times.
-  std::vector<std::vector<std::vector<std::vector<double>>>> PerInstance(N);
-  // Instance counter per (region, proc).
-  std::vector<std::vector<size_t>> InstanceCount(
-      N, std::vector<size_t>(P, 0));
-
-  for (unsigned Proc = 0; Proc != P; ++Proc) {
-    // Regions may nest; activity time goes to the innermost frame's
-    // instance (exclusive-time semantics, matching reduceTrace).
-    struct Frame {
-      uint32_t Region;
-      size_t Instance;
-    };
-    std::vector<Frame> Stack;
-    uint32_t OpenActivity = trace::Trace::InvalidId;
-    double ActivityBegin = 0.0;
-    for (const Event &E : T.events(Proc)) {
-      switch (E.Kind) {
-      case EventKind::RegionEnter: {
-        size_t Instance = InstanceCount[E.Id][Proc]++;
-        auto &Instances = PerInstance[E.Id];
-        if (Instances.size() <= Instance)
-          Instances.resize(Instance + 1,
-                           std::vector<std::vector<double>>(
-                               K, std::vector<double>(P, 0.0)));
-        Stack.push_back({E.Id, Instance});
-        break;
-      }
-      case EventKind::RegionExit:
-        Stack.pop_back();
-        break;
-      case EventKind::ActivityBegin:
-        OpenActivity = E.Id;
-        ActivityBegin = E.Time;
-        break;
-      case EventKind::ActivityEnd:
-        assert(!Stack.empty() &&
-               "validated trace has activities inside regions");
-        PerInstance[Stack.back().Region][Stack.back().Instance]
-                   [OpenActivity][Proc] += E.Time - ActivityBegin;
-        OpenActivity = trace::Trace::InvalidId;
-        break;
-      case EventKind::MessageSend:
-      case EventKind::MessageRecv:
-        break;
-      }
-    }
-  }
+  InstanceSink Sink(N, K, P);
+  trace::foldTrace(T, Mode, Sink);
 
   // All processors must agree on the instance count of each region they
   // execute at all.
   for (size_t I = 0; I != N; ++I) {
     size_t Expected = 0;
     for (unsigned Proc = 0; Proc != P; ++Proc)
-      Expected = std::max(Expected, InstanceCount[I][Proc]);
+      Expected = std::max(Expected, Sink.InstanceCount[I][Proc]);
     for (unsigned Proc = 0; Proc != P; ++Proc)
-      if (InstanceCount[I][Proc] != Expected)
+      if (Sink.InstanceCount[I][Proc] != Expected)
         return makeStringError(
             "region '%s': processor %u executed %zu instances, others %zu "
             "(phase analysis needs SPMD-shaped traces)",
             T.regionName(static_cast<uint32_t>(I)).c_str(), Proc,
-            InstanceCount[I][Proc], Expected);
+            Sink.InstanceCount[I][Proc], Expected);
   }
 
   PhaseResult Result;
@@ -93,7 +85,7 @@ Expected<PhaseResult> core::analyzePhases(const trace::Trace &T,
   for (size_t I = 0; I != N; ++I) {
     PhaseSeries &Series = Result.Series[I];
     Series.Region = I;
-    for (const auto &Activities : PerInstance[I]) {
+    for (const auto &Activities : Sink.PerInstance[I]) {
       // Weighted dispersion across processors, exactly like ID_C but
       // restricted to this instance.
       double InstanceTotal = 0.0;

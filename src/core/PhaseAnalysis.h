@@ -21,6 +21,7 @@
 
 #include "core/Views.h"
 #include "support/Error.h"
+#include "support/ParseLimits.h"
 #include "trace/Trace.h"
 #include <string>
 #include <vector>
@@ -54,13 +55,15 @@ struct PhaseResult {
 };
 
 /// Splits \p T into region instances (the k-th execution of region i on
-/// every processor is instance k) and computes per-instance indices.
+/// every processor is instance k), through the attribution fold
+/// (trace/Fold.h), and computes per-instance indices.
 ///
-/// Fails when the trace is invalid or processors executed a region a
-/// different number of times (non-SPMD shape this analysis cannot
-/// align).
+/// Fails when the trace is invalid (strict mode) or processors executed
+/// a region a different number of times (non-SPMD shape this analysis
+/// cannot align).
 Expected<PhaseResult> analyzePhases(const trace::Trace &T,
-                                    const ViewOptions &Options = {});
+                                    const ViewOptions &Options = {},
+                                    ParseMode Mode = ParseMode::Strict);
 
 /// Least-squares trend of \p Values (slope 0 for fewer than 2 points).
 Trend linearTrend(const std::vector<double> &Values);

@@ -39,10 +39,9 @@ struct ReductionOptions {
   /// are bit-identical at any setting: each processor's stream is
   /// checked into its own slot and folds into disjoint cube cells.
   unsigned Threads = 0;
-  /// Strict: the first structurally impossible event aborts the
-  /// reduction.  Lenient: such events are skipped (the fold continues
-  /// with the surrounding structure intact), counted into Report, and
-  /// full-trace validation is not run first — one bad event no longer
+  /// Strict: the trace must pass full-trace validation.  Lenient: the
+  /// fold drops what validation would reject, counted into Report, and
+  /// keeps the surrounding structure intact — one bad event no longer
   /// kills a million-event analysis.
   ParseMode Mode = ParseMode::Strict;
   /// Receives dropped-event counts in lenient mode.  Per-processor
@@ -52,13 +51,10 @@ struct ReductionOptions {
 };
 
 /// Reduces \p T to a cube with one region per trace region, one activity
-/// per trace activity and one column per processor.  In strict mode runs
+/// per trace activity and one column per processor, through the
+/// attribution fold (trace/Fold.h) per processor.  Strict mode runs
 /// trace::Trace::validate(Options.Threads) first and propagates its
-/// errors; the fold itself additionally rejects structurally impossible
-/// streams (region exit without enter, activity brackets outside any
-/// region) with a typed ErrorCode::StructuralError rather than relying
-/// on validation having run.  In lenient mode those events are dropped
-/// and counted instead (see ReductionOptions::Mode).
+/// errors (see ReductionOptions::Mode).
 Expected<MeasurementCube> reduceTrace(const trace::Trace &T,
                                       const ReductionOptions &Options = {});
 

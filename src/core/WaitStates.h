@@ -26,6 +26,7 @@
 
 #include "core/Measurement.h"
 #include "support/Error.h"
+#include "support/ParseLimits.h"
 #include "trace/Trace.h"
 #include <vector>
 
@@ -57,8 +58,11 @@ struct WaitStateReport {
   WaitStateReport() : LateSender({"<none>"}, {"late-sender"}, 1) {}
 };
 
-/// Runs the late-sender analysis on \p T (validates it first).
-Expected<WaitStateReport> analyzeWaitStates(const trace::Trace &T);
+/// Runs the late-sender analysis on \p T through the attribution fold
+/// (trace/Fold.h).  Strict mode validates \p T first; lenient mode skips
+/// a receive with no send left to pair with.
+Expected<WaitStateReport>
+analyzeWaitStates(const trace::Trace &T, ParseMode Mode = ParseMode::Strict);
 
 } // namespace core
 } // namespace lima

@@ -49,9 +49,14 @@ WindowedAnalyzer::WindowedAnalyzer(std::vector<std::string> Regions,
   assert(!RegionNames.empty() && !ActivityNames.empty() && NumProcs > 0 &&
          "windowed analysis needs declared regions, activities and procs");
   assert(Options.WindowSeconds > 0.0 && "window width must be positive");
-  this->Procs.resize(NumProcs);
-  for (ProcState &P : this->Procs)
-    P.OpenActivity = trace::Trace::InvalidId;
+  IdBound.fill(UINT64_MAX);
+  IdBound[static_cast<size_t>(EventKind::RegionEnter)] = RegionNames.size();
+  IdBound[static_cast<size_t>(EventKind::ActivityBegin)] =
+      ActivityNames.size();
+  // Tolerance 0: an event the fold accepted never lies in a window the
+  // watermark has drained.
+  for (unsigned Proc = 0; Proc != NumProcs; ++Proc)
+    this->Procs.emplace_back(Proc, Options.Mode, 0.0, Options.Report);
   moveCursor(0);
 }
 
@@ -68,10 +73,6 @@ void WindowedAnalyzer::moveCursor(uint64_t Index) {
   double Start = K * W;
   Cursor.Index = Index;
   Cursor.SplitHi = static_cast<double>(Index + 1) * W;
-  // An interval closes inline only where accumulateInterval would add
-  // it as one difference, which it never does when no interval may span
-  // a window at all.
-  Cursor.SplitLo = Options.MaxIntervalWindows != 0 ? Start : INFINITY;
   // floor(t/W) is monotone in t, so window K's times form one interval.
   // Its ends are found from the products K*W and (K+1)*W, never taken
   // as they are: for W = 0.001, t = 0.009 lies in window 9 although
@@ -81,6 +82,11 @@ void WindowedAnalyzer::moveCursor(uint64_t Index) {
   });
   Cursor.Hi = leastTime(Cursor.SplitHi,
                         [&](double T) { return std::floor(T / W) > K; });
+  // An interval closes inline only where accumulateInterval would add
+  // it as one difference: it begins in this window at or past K*W.  It
+  // never does when no interval may span a window at all.
+  Cursor.InlineLo =
+      Options.MaxIntervalWindows != 0 ? std::max(Cursor.Lo, Start) : INFINITY;
   auto It = Windows.find(Index);
   Cursor.Accum = It == Windows.end() ? nullptr : &It->second;
 }
@@ -171,6 +177,10 @@ bool WindowedAnalyzer::seekCursor(const Event &E) {
                                  "proc %u event time %.9g is 2^64 or more "
                                  "windows of %g s; widen --window",
                                  E.Proc, E.Time, Options.WindowSeconds));
+  if (E.Id >= IdBound[static_cast<size_t>(E.Kind)])
+    return reject(makeCodedError(
+        ErrorCode::ValueOutOfRange, "event %s %u out of range",
+        E.Kind == EventKind::RegionEnter ? "region" : "activity", E.Id));
   moveCursor(windowIndexOf(E.Time));
   return true;
 }
@@ -180,116 +190,51 @@ bool WindowedAnalyzer::openCursorWindow() {
   return Cursor.Accum ? true : reject(tooManyWindows());
 }
 
-bool WindowedAnalyzer::dropRegression(const Event &E) {
-  Error Err = makeCodedError(ErrorCode::StructuralError,
-                             "proc %u time goes backwards (%.9f after %.9f)",
-                             E.Proc, E.Time, Procs[E.Proc].LastTime);
-  if (Options.Mode != ParseMode::Lenient)
-    return reject(std::move(Err));
-  // Dropped before it touches the clock, the watermark or any window:
-  // the window it falls in may already have been drained.
-  ParseError PE = Err.toParseError();
-  if (Options.Report) {
-    ++Options.Report->TotalRecords;
-    Options.Report->addDrop(std::move(PE));
-  }
-  return true;
-}
+struct WindowedAnalyzer::CursorSink : trace::FoldSink {
+  WindowedAnalyzer &A;
 
-bool WindowedAnalyzer::malformed(const Event &E, const char *What) {
-  ParseError PE{ErrorCode::StructuralError, 0, NoByteOffset,
-                "proc " + std::to_string(E.Proc) + ": " + What};
-  if (Options.Mode != ParseMode::Lenient) {
-    Rejected = std::move(PE);
-    return false;
+  bool interval(const trace::FoldState &State, uint32_t Activity,
+                double Begin, double End) {
+    WindowCursor &C = A.Cursor;
+    uint32_t Region = State.innermost().Region;
+    // The end lies in the cursor's window K, so from InlineLo to
+    // (K+1)*W accumulateInterval would add this same one difference.
+    if (Begin >= C.InlineLo && End <= C.SplitHi && C.Accum) {
+      if (End > Begin) {
+        C.Accum->Cube.accumulate(Region, Activity, State.proc(),
+                                 End - Begin);
+        C.Accum->AnyTime = true;
+      }
+      return true;
+    }
+    return A.accumulateInterval(Region, Activity, State.proc(), Begin, End);
   }
-  if (Options.Report)
-    Options.Report->addDrop(std::move(PE));
-  return true;
-}
+};
 
 // Inline in addEvents' loop: an accepted event inside the cursor's
 // window, whose interval (if it ends one) began in the same window,
 // never leaves this function.
 [[gnu::always_inline]] inline bool
 WindowedAnalyzer::foldEvent(const Event &E) {
-  // One range test covers the processor, a non-finite, negative or
-  // too-late time, and a window change: all leave through seekCursor.
-  if ((E.Proc >= NumProcs || !(E.Time >= Cursor.Lo && E.Time < Cursor.Hi)) &&
+  // One range test covers the processor, an id past its table, a
+  // non-finite, negative or too-late time, and a window change: all
+  // leave through seekCursor.
+  if ((E.Proc >= NumProcs || E.Id >= IdBound[static_cast<size_t>(E.Kind)] ||
+       !(E.Time >= Cursor.Lo && E.Time < Cursor.Hi)) &&
       !seekCursor(E))
     return false;
-  ProcState &P = Procs[E.Proc];
-  // LastTime starts at 0 and no time is below 0, so a processor's first
-  // event never regresses.
-  if (E.Time < P.LastTime)
-    return dropRegression(E);
   if (Options.Report)
     ++Options.Report->TotalRecords;
+  trace::FoldState &P = Procs[E.Proc];
+  CursorSink Sink{{}, *this};
+  trace::FoldStep Step = P.step(Sink, E.Time, E.Kind, E.Id, E.Bytes);
+  if (Step == trace::FoldStep::Failed && P.failed())
+    Rejected = P.takeError();
+  // An out-of-order event touched no clock, watermark or window: the
+  // window it falls in may already have been drained.
+  if (Step != trace::FoldStep::Kept)
+    return Step == trace::FoldStep::Late;
 
-  // Mirrors TraceReduction's lenient contract: a structurally
-  // impossible event is dropped and counted instead of aborting.  A
-  // drop still reaches the timeline updates below — its timestamp
-  // advances the processor clock and the watermark, exactly like
-  // reduceTrace's span — it just attributes no time.
-  switch (E.Kind) {
-  case EventKind::RegionEnter:
-    if (E.Id >= RegionNames.size())
-      return reject(makeCodedError(ErrorCode::ValueOutOfRange,
-                                   "event region %u out of range", E.Id));
-    P.Stack.push_back({E.Id});
-    break;
-  case EventKind::RegionExit:
-    if (P.Stack.empty()) {
-      if (!malformed(E, "region exit without matching enter"))
-        return false;
-    } else
-      P.Stack.pop_back();
-    break;
-  case EventKind::ActivityBegin:
-    if (E.Id >= ActivityNames.size())
-      return reject(makeCodedError(ErrorCode::ValueOutOfRange,
-                                   "event activity %u out of range", E.Id));
-    if (P.Stack.empty()) {
-      if (!malformed(E, "activity begins outside any region"))
-        return false;
-    } else {
-      P.OpenActivity = E.Id;
-      P.ActivityBeginTime = E.Time;
-      P.BeginWindow = E.Time >= Cursor.SplitLo ? Cursor.Index : NoWindow;
-    }
-    break;
-  case EventKind::ActivityEnd:
-    if (P.Stack.empty()) {
-      if (!malformed(E, "activity ends outside any region"))
-        return false;
-    } else if (P.OpenActivity == trace::Trace::InvalidId) {
-      if (!malformed(E, "activity end without matching begin"))
-        return false;
-    } else {
-      // Begin and end inside [K*W, (K+1)*W] of the cursor's window K:
-      // accumulateInterval would add this same one difference there.
-      if (P.BeginWindow == Cursor.Index && E.Time <= Cursor.SplitHi &&
-          Cursor.Accum) {
-        if (E.Time > P.ActivityBeginTime) {
-          Cursor.Accum->Cube.accumulate(P.Stack.back().Region,
-                                        P.OpenActivity, E.Proc,
-                                        E.Time - P.ActivityBeginTime);
-          Cursor.Accum->AnyTime = true;
-        }
-      } else if (!accumulateInterval(P.Stack.back().Region, P.OpenActivity,
-                                     E.Proc, P.ActivityBeginTime, E.Time)) {
-        return false;
-      }
-      P.OpenActivity = trace::Trace::InvalidId;
-    }
-    break;
-  case EventKind::MessageSend:
-  case EventKind::MessageRecv:
-    break; // No attributable duration.
-  }
-
-  P.LastTime = E.Time;
-  P.AnyEvents = true;
   MaxTime = std::max(MaxTime, E.Time);
   ++EventsSeen;
   if (!Cursor.Accum && !openCursorWindow())
@@ -322,13 +267,8 @@ double WindowedAnalyzer::watermark() const {
   // processor's open activity will be attributed back to its begin
   // time when it closes, so an open interval pins the watermark there.
   double Mark = MaxTime;
-  for (const ProcState &P : Procs) {
-    double Safe = !P.AnyEvents ? 0.0
-                  : P.OpenActivity != trace::Trace::InvalidId
-                      ? P.ActivityBeginTime
-                      : P.LastTime;
-    Mark = std::min(Mark, Safe);
-  }
+  for (const trace::FoldState &P : Procs)
+    Mark = std::min(Mark, P.activityOpen() ? P.activityBegin() : P.clock());
   return Mark;
 }
 

@@ -19,27 +19,18 @@
 ///
 /// Determinism contract: with a single window spanning the whole trace,
 /// the accumulated cube — and therefore every derived index — is
-/// bit-identical to core::reduceTrace + the whole-trace views.  Cell
-/// accumulation happens per processor in event order, exactly like the
-/// reduction's per-processor fold, and an interval that does not cross
-/// a window boundary is added as one plain `end - begin` difference
-/// (never as a sum of split parts).
+/// bit-identical to core::reduceTrace + the whole-trace views: both run
+/// the attribution fold (trace/Fold.h) per processor in event order, and
+/// an interval inside one window is added as one plain `end - begin`.
 ///
 /// Memory: O(windows in flight).  A window can be emitted once every
 /// processor's stream has advanced past its end (the watermark); live
 /// interleaved streams keep at most a couple of windows open, while a
 /// processor-grouped post-mortem file holds windows until finish().
 ///
-/// Unclosed intervals contribute nothing (matching reduceTrace, which
-/// only accumulates on ActivityEnd); gap attribution is not supported
-/// here.
-///
-/// Cost: the analyzer keeps a cursor on the window the last event fell
-/// in, with the exact range of times whose window floor(t/W) is that
-/// one, so an event inside it costs no division and no map lookup, and
-/// an interval that begins and ends there is added straight into the
-/// cursor's accumulator.  Window changes, splits, drops and errors leave
-/// that path for out-of-line code (DESIGN.md §10).
+/// Unclosed intervals contribute nothing and gaps are not attributed.
+/// An event inside the window the last one fell in costs no division and
+/// no map lookup (the window cursor, DESIGN.md §10).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -50,16 +41,14 @@
 #include "core/Views.h"
 #include "support/Error.h"
 #include "support/ParseLimits.h"
-#include "trace/Event.h"
+#include "trace/Fold.h"
+#include <array>
 #include <map>
 #include <span>
 #include <string>
 #include <vector>
 
 namespace lima {
-namespace trace {
-class Trace;
-} // namespace trace
 namespace core {
 
 /// Options for the windowed analyzer.
@@ -119,16 +108,11 @@ public:
                    std::vector<std::string> ActivityNames, unsigned NumProcs,
                    WindowedOptions Options);
 
-  /// Consumes one event.  Structural violations (exit without enter,
-  /// activity outside a region, end without begin) fail in strict mode
-  /// and are dropped + counted in lenient mode; a dropped event still
-  /// advances the processor's clock, the watermark, and the event
-  /// counters (mirroring reduceTrace, whose span includes dropped
-  /// events), it just attributes no time.  A time regression within a
-  /// processor fails in strict mode; in lenient mode it is dropped and
-  /// counted before it touches any state, so a drained window never
-  /// reopens.  Out-of-range ids and non-finite or negative times are
-  /// always errors.
+  /// Consumes one event through the attribution fold (trace/Fold.h)
+  /// with a tolerance of 0, so an out-of-order event never reaches a
+  /// drained window.  A structurally dropped event still advances the
+  /// clock, the watermark and the event counters.  Out-of-range
+  /// processors and ids and non-finite or negative times are errors.
   Error addEvent(const trace::Event &E);
 
   /// addEvent over \p Events in order, stopping at the first error.
@@ -158,24 +142,6 @@ public:
   double windowSeconds() const { return Options.WindowSeconds; }
 
 private:
-  /// BeginWindow of an interval that cannot close as one difference.
-  static constexpr uint64_t NoWindow = UINT64_MAX;
-
-  struct ProcState {
-    struct Frame {
-      uint32_t Region;
-    };
-    std::vector<Frame> Stack;
-    uint32_t OpenActivity;
-    /// The window the open activity began in, when it began at or past
-    /// that window's K*W (so an end in the same window adds the plain
-    /// End - Begin); NoWindow otherwise.
-    uint64_t BeginWindow = NoWindow;
-    double ActivityBeginTime = 0.0;
-    double LastTime = 0.0;
-    bool AnyEvents = false;
-  };
-
   struct WindowAccum {
     MeasurementCube Cube;
     uint64_t Events = 0;
@@ -184,31 +150,30 @@ private:
   };
 
   /// The window the last event fell in.  A time lies in [Lo, Hi) exactly
-  /// when windowIndexOf gives Index.  SplitLo and SplitHi are the K*W and
-  /// (K+1)*W products accumulateInterval clips an interval at.
+  /// when windowIndexOf gives Index.  An interval ending here that begins
+  /// at or past InlineLo (Lo and the K*W product) and ends at or below
+  /// SplitHi (the (K+1)*W product) is one plain difference here.
   struct WindowCursor {
     uint64_t Index = 0;
     double Lo = 0.0, Hi = 0.0;
-    double SplitLo = 0.0, SplitHi = 0.0;
+    double InlineLo = 0.0, SplitHi = 0.0;
     /// The window's accumulator; null until the window exists, and after
     /// every drain (drainUpTo erases map nodes).
     WindowAccum *Accum = nullptr;
   };
 
-  /// The per-event rules, once, for addEvent, addEvents and addTrace.
+  /// The fold's sink: closed intervals go into the cursor's window.
+  struct CursorSink;
+
+  /// Checks and folds one event, for addEvent, addEvents and addTrace.
   /// False when \p E failed; the error is then in Rejected.
   bool foldEvent(const trace::Event &E);
-  /// Out of line: validates \p E's processor and time, then moves the
-  /// cursor to the time's window.
+  /// Out of line: validates \p E's processor, time and id, then moves
+  /// the cursor to the time's window.
   bool seekCursor(const trace::Event &E);
   void moveCursor(uint64_t Index);
   /// Out of line: allocates the cursor's window for its first event.
   bool openCursorWindow();
-  /// Out of line: the drop or error of a time regression.
-  bool dropRegression(const trace::Event &E);
-  /// Out of line: a structurally impossible event, dropped and counted
-  /// (true) in lenient mode, rejected in strict mode.
-  bool malformed(const trace::Event &E, const char *What);
   /// Stores \p Err in Rejected; always false.
   bool reject(Error Err);
   Error tooManyWindows() const;
@@ -231,7 +196,9 @@ private:
   std::vector<std::string> ActivityNames;
   unsigned NumProcs;
   WindowedOptions Options;
-  std::vector<ProcState> Procs;
+  /// Per event kind, the bound of its ids (enters and begins only).
+  std::array<uint64_t, 6> IdBound;
+  std::vector<trace::FoldState> Procs;
   std::map<uint64_t, WindowAccum> Windows;
   WindowCursor Cursor;
   /// The error of the event foldEvent last rejected.

@@ -7,6 +7,7 @@
 #include "trace/Trace.h"
 #include "support/Compiler.h"
 #include "support/Parallel.h"
+#include "trace/Fold.h"
 #include <algorithm>
 #include <cassert>
 #include <cmath>
@@ -130,109 +131,18 @@ struct PeerBytesHash {
 /// Message events of one processor, counted per (peer, bytes).
 using MessageTally = std::unordered_map<PeerBytes, int64_t, PeerBytesHash>;
 
-/// What validation learns from one processor's stream.
-struct ProcCheck {
+/// What validation learns from one processor's stream.  As the strict
+/// fold's sink it tallies the processor's messages.
+struct ProcCheck : FoldSink {
   std::optional<ParseError> Err; ///< First structural error.
   MessageTally Sent;             ///< (receiver, bytes) -> sends.
   MessageTally Received;         ///< (sender, bytes) -> receives.
-};
 
-/// Checks the structure of processor \p Proc's stream, stopping at the
-/// first error, and tallies its messages into \p Out.
-Error checkProcessor(const Trace::EventsRef Stream, unsigned Proc,
-                     ProcCheck &Out) {
-  double LastTime = 0.0;
-  // Regions may nest (loops inside routines, statements inside loops);
-  // exits must match the innermost open region.
-  std::vector<uint32_t> RegionStack;
-  int64_t ActivityDepth = 0;
-  uint32_t OpenActivity = Trace::InvalidId;
-
-  for (size_t I = 0; I != Stream.size(); ++I) {
-    const Event E = Stream[I];
-    if (!std::isfinite(E.Time) || E.Time < 0.0)
-      return makeCodedError(ErrorCode::ValueOutOfRange,
-                            "proc %u event %zu: time %.9f is not finite "
-                            "and non-negative",
-                            Proc, I, E.Time);
-    if (E.Time + Trace::BackwardTimeTolerance < LastTime)
-      return makeCodedError(
-          ErrorCode::StructuralError,
-          "proc %u event %zu: time goes backwards (%.9f after %.9f)", Proc,
-          I, E.Time, LastTime);
-    LastTime = std::max(LastTime, E.Time);
-
-    switch (E.Kind) {
-    case EventKind::RegionEnter:
-      if (ActivityDepth != 0)
-        return makeCodedError(ErrorCode::StructuralError,
-                              "proc %u event %zu: region enters while an "
-                              "activity is open",
-                              Proc, I);
-      RegionStack.push_back(E.Id);
-      break;
-    case EventKind::RegionExit:
-      if (RegionStack.empty())
-        return makeCodedError(ErrorCode::StructuralError,
-                              "proc %u event %zu: region exit without "
-                              "matching enter",
-                              Proc, I);
-      if (E.Id != RegionStack.back())
-        return makeCodedError(ErrorCode::StructuralError,
-                              "proc %u event %zu: region exit id %u does "
-                              "not match innermost open region %u",
-                              Proc, I, E.Id, RegionStack.back());
-      if (ActivityDepth != 0)
-        return makeCodedError(ErrorCode::StructuralError,
-                              "proc %u event %zu: region exits while an "
-                              "activity is open",
-                              Proc, I);
-      RegionStack.pop_back();
-      break;
-    case EventKind::ActivityBegin:
-      if (RegionStack.empty())
-        return makeCodedError(ErrorCode::StructuralError,
-                              "proc %u event %zu: activity begins outside "
-                              "any region",
-                              Proc, I);
-      if (ActivityDepth != 0)
-        return makeCodedError(ErrorCode::StructuralError,
-                              "proc %u event %zu: overlapping activities",
-                              Proc, I);
-      ActivityDepth = 1;
-      OpenActivity = E.Id;
-      break;
-    case EventKind::ActivityEnd:
-      if (ActivityDepth != 1)
-        return makeCodedError(ErrorCode::StructuralError,
-                              "proc %u event %zu: activity end without "
-                              "matching begin",
-                              Proc, I);
-      if (E.Id != OpenActivity)
-        return makeCodedError(ErrorCode::StructuralError,
-                              "proc %u event %zu: activity end id %u does "
-                              "not match open activity %u",
-                              Proc, I, E.Id, OpenActivity);
-      ActivityDepth = 0;
-      OpenActivity = Trace::InvalidId;
-      break;
-    case EventKind::MessageSend:
-      ++Out.Sent[{E.Id, E.Bytes}];
-      break;
-    case EventKind::MessageRecv:
-      ++Out.Received[{E.Id, E.Bytes}];
-      break;
-    }
+  void message(const FoldState &, EventKind Kind, uint32_t Peer,
+               uint64_t Bytes, double) {
+    ++(Kind == EventKind::MessageSend ? Sent : Received)[{Peer, Bytes}];
   }
-  if (!RegionStack.empty())
-    return makeCodedError(ErrorCode::StructuralError,
-                          "proc %u: region left open at end of trace", Proc);
-  if (ActivityDepth != 0)
-    return makeCodedError(ErrorCode::StructuralError,
-                          "proc %u: activity left open at end of trace",
-                          Proc);
-  return Error::success();
-}
+};
 
 /// The smallest (sender, receiver, bytes) key whose sends and receives
 /// disagree, with its balance (sends minus receives).
@@ -278,12 +188,33 @@ void findUnmatched(const std::vector<ProcCheck> &Checks, uint32_t Proc,
 Error Trace::validate(unsigned Threads) const {
   // Each processor checks its own stream into its own slot; the lowest
   // failing processor's first error wins, as in a processor-order walk.
+  // The strict fold owns every per-event rule but the time range.
   std::vector<ProcCheck> Checks(numProcs());
-  parallelFor(numProcs(), Threads, [&](size_t Proc) {
+  parallelFor(numProcs(), Threads, [&](size_t P) {
+    unsigned Proc = static_cast<unsigned>(P);
     ProcCheck &C = Checks[Proc];
-    if (Error Err = checkProcessor(events(static_cast<unsigned>(Proc)),
-                                   static_cast<unsigned>(Proc), C))
-      C.Err = Err.toParseError();
+    const EventsRef Stream = events(Proc);
+    FoldState State(Proc, ParseMode::Strict, BackwardTimeTolerance);
+    for (size_t I = 0; I != Stream.size(); ++I) {
+      const Event E = Stream[I];
+      if (!std::isfinite(E.Time) || E.Time < 0.0) {
+        C.Err = makeCodedError(ErrorCode::ValueOutOfRange,
+                               "proc %u event %zu: time %.9f is not finite "
+                               "and non-negative",
+                               Proc, I, E.Time)
+                    .toParseError();
+        return;
+      }
+      if (State.step(C, E.Time, E.Kind, E.Id, E.Bytes) == FoldStep::Failed) {
+        C.Err = State.takeError();
+        return;
+      }
+    }
+    if (State.depth() != 0 || State.activityOpen())
+      C.Err = makeCodedError(ErrorCode::StructuralError,
+                             "proc %u: %s left open at end of trace", Proc,
+                             State.depth() != 0 ? "region" : "activity")
+                  .toParseError();
   });
   for (ProcCheck &C : Checks)
     if (C.Err)

@@ -264,15 +264,12 @@ public:
   /// Total number of events across all processors.
   size_t numEvents() const;
 
-  /// Structural validation:
-  ///  - per-processor event times are non-decreasing;
-  ///  - region enter/exit events are properly nested (regions MAY nest,
-  ///    modeling routines > loops > statements; exits must match the
-  ///    innermost open region) and activity begin/end pairs are balanced,
-  ///    lie inside a region, do not overlap, and do not straddle region
-  ///    boundaries;
-  ///  - every MessageSend has a matching MessageRecv on the peer with the
-  ///    same byte count, and vice versa.
+  /// Structural validation: the strict attribution fold (trace/Fold.h)
+  /// over each processor's finite, non-negative times, which checks time
+  /// order (up to BackwardTimeTolerance), region nesting and activity
+  /// brackets; nothing left open at the end of a stream; and every
+  /// MessageSend matched by a MessageRecv on the peer with the same byte
+  /// count, and vice versa.
   ///
   /// Processors are checked concurrently on \p Threads threads (0 = all
   /// hardware threads, 1 = serially on the calling thread).  The error is

@@ -18,9 +18,12 @@
 //===----------------------------------------------------------------------===//
 
 #include "TestHelpers.h"
+#include "core/CountingReduction.h"
+#include "core/PhaseAnalysis.h"
 #include "core/Pipeline.h"
 #include "core/SelfProfile.h"
 #include "core/TraceReduction.h"
+#include "core/WaitStates.h"
 #include "support/Parallel.h"
 #include "support/Telemetry.h"
 #include "support/TraceEventExport.h"
@@ -28,6 +31,7 @@
 #include "trace/ParallelBinary.h"
 #include "trace/ParallelParse.h"
 #include "trace/TraceIO.h"
+#include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <gtest/gtest.h>
@@ -329,6 +333,35 @@ TEST(TelemetryTest, StrictReductionSpansValidationInReduceStage) {
       }
     // Lenient reductions skip validation altogether.
     EXPECT_EQ(Validations, Mode == ParseMode::Strict ? 1u : 0u);
+  }
+}
+
+TEST(TelemetryTest, SecondaryAnalysesSpanTheirFoldInTheirOwnStage) {
+  if (!TelemetryCompiled)
+    GTEST_SKIP() << "telemetry compiled out";
+  trace::Trace T = makeTrace(4, 10);
+  for (ParseMode Mode : {ParseMode::Strict, ParseMode::Lenient}) {
+    TelemetrySession Session;
+    (void)cantFail(core::analyzePhases(T, {}, Mode));
+    (void)cantFail(core::reduceTraceCounts(
+        T, core::CountingMetric::MessagesSent, Mode));
+    (void)cantFail(core::analyzeWaitStates(T, Mode));
+    telemetry::setEnabled(false);
+    telemetry::Snapshot S = telemetry::collect();
+
+    for (std::string Stage : {"phases", "counting", "waitstates"}) {
+      unsigned Spans = 0;
+      for (const telemetry::SpanEvent &E : S.Events)
+        if (S.nameOf(E.Name) == Stage + ".fold") {
+          ++Spans;
+          EXPECT_EQ(S.nameOf(E.Stage), Stage);
+        }
+      EXPECT_EQ(Spans, 1u) << Stage;
+      EXPECT_TRUE(std::any_of(
+          S.Stages.begin(), S.Stages.end(),
+          [&](const telemetry::StageStats &St) { return St.Name == Stage; }))
+          << Stage;
+    }
   }
 }
 
