@@ -274,11 +274,16 @@ int main(int Argc, char **Argv) {
                    logging::field("window_seconds", WindowedSeconds)});
   }
 
+  // The fold inspects only the events the parser kept, each already in
+  // the parser's total: its report adds drops, not records.
+  ParseReport FoldReport;
   core::ReductionOptions Reduction;
   Reduction.Threads = Threads;
   Reduction.Mode = Parse.Mode;
-  Reduction.Report = Parse.Report;
+  Reduction.Report = Lenient ? &FoldReport : nullptr;
   core::MeasurementCube Cube = ExitOnErr(core::reduceTrace(Trace, Reduction));
+  FoldReport.TotalRecords = 0;
+  Report.merge(FoldReport);
 
   // The lenient receipt goes through the log layer (stderr by default),
   // so piped table output stays clean and --quiet / --log-json apply.

@@ -36,9 +36,10 @@ using trace::Trace;
 
 namespace {
 
-/// Two processors, nested regions, activities and one message pair —
-/// touches every record kind each format can encode.
-Trace makeSeedTrace() {
+/// Two processors, nested regions, activities and one message pair of
+/// \p MessageBytes bytes — touches every record kind each format can
+/// encode.
+Trace makeSeedTrace(uint64_t MessageBytes = 64) {
   Trace T(2);
   uint32_t Main = T.addRegion("main");
   uint32_t Loop = T.addRegion("loop");
@@ -50,7 +51,7 @@ Trace makeSeedTrace() {
   T.append({0.1, 0, EventKind::ActivityBegin, Comp, 0});
   T.append({1.0, 0, EventKind::ActivityEnd, Comp, 0});
   T.append({1.0, 0, EventKind::ActivityBegin, P2P, 0});
-  T.append({1.0, 0, EventKind::MessageSend, 1, 64});
+  T.append({1.0, 0, EventKind::MessageSend, 1, MessageBytes});
   T.append({1.2, 0, EventKind::ActivityEnd, P2P, 0});
   T.append({1.2, 0, EventKind::RegionExit, Loop, 0});
   T.append({1.3, 0, EventKind::RegionExit, Main, 0});
@@ -58,7 +59,7 @@ Trace makeSeedTrace() {
   T.append({0.0, 1, EventKind::RegionEnter, Main, 0});
   T.append({0.2, 1, EventKind::RegionEnter, Loop, 0});
   T.append({0.2, 1, EventKind::ActivityBegin, P2P, 0});
-  T.append({1.1, 1, EventKind::MessageRecv, 0, 64});
+  T.append({1.1, 1, EventKind::MessageRecv, 0, MessageBytes});
   T.append({1.4, 1, EventKind::ActivityEnd, P2P, 0});
   T.append({1.4, 1, EventKind::RegionExit, Loop, 0});
   T.append({1.5, 1, EventKind::RegionExit, Main, 0});
@@ -249,6 +250,20 @@ int main(int Argc, char **Argv) {
   };
   Ok &= write(BinDir / "dup-region-v1.limb", repeatRegion(V1));
   Ok &= write(BinDir / "dup-region-v2.limb", repeatRegion(Binary));
+
+  // The two varint edges of the record decoder.  A message of 2^64 - 1
+  // bytes takes the longest varint: nine 0xff bytes, then 0x01 as the
+  // tenth, which may carry bit 63 only.  Raising that byte to 2
+  // overflows; the file has no block CRCs, so the decoder sees it.
+  // Both are checked in as fuzz/corpus/fuzz_trace_binary/varint-*.limb.
+  Ok &= write(BinDir / "varint-10-byte.limb",
+              trace::writeTraceBinary(makeSeedTrace(UINT64_MAX)));
+  trace::BinaryWriteOptions NoCrc;
+  NoCrc.BlockCrc = false;
+  std::string Overflow =
+      trace::writeTraceBinary(makeSeedTrace(UINT64_MAX), NoCrc);
+  Overflow[Overflow.find(std::string(9, '\xff') + '\x01') + 9] = '\x02';
+  Ok &= write(BinDir / "varint-overflow.limb", Overflow);
 
   // --- LIMB v2 block-index mutations ----------------------------------
   // A tiny block size forces several index entries from the 16-event

@@ -1049,7 +1049,10 @@ int main(int Argc, char **Argv) {
   reportRemaining();
   writeCheckpoint();
 
+  // The fold saw only events the parser had counted: add its drops,
+  // not its records.
   ParseReport Report = std::move(End.Report);
+  FoldReport.TotalRecords = 0;
   Report.merge(FoldReport);
   if (Lenient && Report.anyDropped())
     logging::warn("parse report",

@@ -78,6 +78,9 @@ Expected<WaitStateReport> core::analyzeWaitStates(const trace::Trace &T,
   if (Mode == ParseMode::Strict)
     if (auto Err = T.validate())
       return Err;
+  if (T.numRegions() == 0)
+    return makeCodedError(ErrorCode::MissingSection,
+                          "trace declares no regions");
   SendSink Sent;
   trace::foldTrace(T, Mode, Sent);
 

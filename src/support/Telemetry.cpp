@@ -12,6 +12,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <sys/resource.h>
 
 using namespace lima;
 using namespace lima::telemetry;
@@ -401,6 +402,20 @@ Snapshot telemetry::collect() {
         S.Counters.push_back({C.name(), C.value()});
   }
   S.NumWorkers = numWorkers();
+  struct rusage Usage;
+  if (::getrusage(RUSAGE_SELF, &Usage) == 0) {
+    auto ms = [](const timeval &T) {
+      return static_cast<double>(T.tv_sec) * 1e3 +
+             static_cast<double>(T.tv_usec) / 1e3;
+    };
+    S.Process = {ms(Usage.ru_utime),
+                 ms(Usage.ru_stime),
+                 static_cast<uint64_t>(Usage.ru_minflt),
+                 static_cast<uint64_t>(Usage.ru_majflt),
+                 static_cast<uint64_t>(Usage.ru_nvcsw),
+                 static_cast<uint64_t>(Usage.ru_nivcsw),
+                 static_cast<uint64_t>(Usage.ru_maxrss)};
+  }
 
   std::sort(S.Events.begin(), S.Events.end(),
             [](const SpanEvent &A, const SpanEvent &B) {

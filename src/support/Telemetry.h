@@ -193,6 +193,18 @@ struct CounterValue {
   uint64_t Value = 0;
 };
 
+/// The process's own account at collect() (getrusage(RUSAGE_SELF)):
+/// what the spans cannot see, such as page faults and kernel time.
+struct ProcessUsage {
+  double UserCpuMs = 0.0;
+  double SystemCpuMs = 0.0;
+  uint64_t MinorFaults = 0;
+  uint64_t MajorFaults = 0;
+  uint64_t VoluntarySwitches = 0;
+  uint64_t InvoluntarySwitches = 0;
+  uint64_t MaxRssKb = 0;
+};
+
 /// Everything collect() drains and aggregates.  Names[] resolves the
 /// interned ids carried by Events.
 struct Snapshot {
@@ -209,6 +221,8 @@ struct Snapshot {
   std::vector<CounterValue> Counters;
   /// Interned-name table (index == id).
   std::vector<std::string> Names;
+  /// The whole process up to the collect() that ends the session.
+  ProcessUsage Process;
 
   const std::string &nameOf(uint32_t Id) const {
     static const std::string None = "(none)";

@@ -220,6 +220,15 @@ std::string telemetry::exportSelfProfileJson(const Snapshot &S) {
   Out += "  \"git_rev\": " + quoted(gitRevision()) + ",\n";
   Out += "  \"num_workers\": " + std::to_string(S.NumWorkers) + ",\n";
   Out += "  \"session_wall_ms\": " + formatFixed(S.SessionWallMs, 3) + ",\n";
+  const ProcessUsage &P = S.Process;
+  Out += "  \"process\": {\"user_cpu_ms\": " + formatFixed(P.UserCpuMs, 3) +
+         ", \"system_cpu_ms\": " + formatFixed(P.SystemCpuMs, 3) +
+         ", \"minor_faults\": " + std::to_string(P.MinorFaults) +
+         ", \"major_faults\": " + std::to_string(P.MajorFaults) +
+         ", \"voluntary_switches\": " + std::to_string(P.VoluntarySwitches) +
+         ", \"involuntary_switches\": " +
+         std::to_string(P.InvoluntarySwitches) +
+         ", \"max_rss_kb\": " + std::to_string(P.MaxRssKb) + "},\n";
 
   Out += "  \"stages\": [\n";
   for (size_t I = 0; I != S.Stages.size(); ++I) {

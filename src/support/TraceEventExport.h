@@ -39,7 +39,8 @@ TextTable makeCounterTable(const Snapshot &S);
 std::string exportChromeTrace(const Snapshot &S);
 
 /// Machine-readable stats document: stages with per-worker breakdowns,
-/// span aggregates and counters, plus the build version.
+/// span aggregates and counters, the process's CPU, faults, context
+/// switches and peak RSS at collect(), plus the build version.
 std::string exportSelfProfileJson(const Snapshot &S);
 
 /// Chrome trace-event JSON of a flight-recorder snapshot (the

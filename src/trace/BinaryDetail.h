@@ -7,10 +7,9 @@
 /// \file
 /// Internals shared between the sequential LIMB reader/writer
 /// (trace/BinaryIO.cpp) and the block-indexed sharded reader
-/// (trace/ParallelBinary.cpp): format constants, the bounds-checked
-/// byte reader, the v2 header/index model and the per-event value
-/// validation that both the v1 record loop and the v2 block decoder
-/// apply verbatim.  Internal to lima_trace.
+/// (trace/ParallelBinary.cpp): format constants, the one event-record
+/// decoder every reader calls, the bounds-checked byte reader, and the
+/// v2 header/index model.  Internal to lima_trace.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -54,6 +53,106 @@ constexpr size_t BinaryFooterSize = 8 + 4 + 4 + 8;
 /// reserving index storage.
 constexpr size_t BinaryMinIndexEntry = 8 + 4 + 4 + 8 + 8 + 4 + 4 + (4 + 4);
 
+/// Where decoding one event record stopped.  Framing failures (the
+/// record cannot be delimited) report the failing byte; value failures
+/// report the record's first byte and leave the cursor past the record.
+struct RecordStatus {
+  enum Code : uint8_t {
+    Ok,
+    Truncated,       ///< Framing: a fixed-width field runs past the end.
+    TruncatedVarint, ///< Framing: a varint runs past the end.
+    VarintOverflow,  ///< Framing: a varint does not fit in 64 bits.
+    BadTime,         ///< NaN or negative.
+    UnknownKind,
+    IdOverflow,         ///< Does not fit in u32.
+    RegionOutOfRange,   ///< Region kinds; the next two follow the
+    ActivityOutOfRange, ///< EventKind order of the kind pairs.
+    PeerOutOfRange,
+  };
+  Code What = Ok;
+  size_t Offset = 0;
+
+  bool ok() const { return What == Ok; }
+  bool framing() const { return What != Ok && What <= VarintOverflow; }
+};
+
+/// One event record as stored (f64 time, kind byte, id and byte-count
+/// varints), before validation.  The time is kept on a value failure,
+/// because the index's first/last times count every framed record.
+struct RawRecord {
+  double Time = 0.0;
+  uint8_t Kind = 0;
+  uint64_t Id = 0;
+  uint64_t Bytes = 0;
+};
+
+/// The exclusive id bound of each event kind: regions, activities, then
+/// processors (message peers), each for a kind pair.
+struct RecordBounds {
+  uint64_t Limit[6];
+  explicit RecordBounds(const Trace &T)
+      : Limit{T.numRegions(),    T.numRegions(), T.numActivities(),
+              T.numActivities(), T.numProcs(),   T.numProcs()} {}
+};
+
+/// Decodes an unsigned LEB128 at \p Pos, reading no byte at or past
+/// \p End.  On failure \p Pos is the failing byte.
+inline RecordStatus::Code decodeVarint(const char *Data, size_t &Pos,
+                                       size_t End, uint64_t &Value) {
+  Value = 0;
+  for (unsigned Shift = 0;; Shift += 7) {
+    if (Pos >= End)
+      return RecordStatus::TruncatedVarint;
+    uint8_t Byte = static_cast<uint8_t>(Data[Pos]);
+    // The tenth byte carries bit 63 only.
+    if (Shift == 63 && Byte > 1)
+      return RecordStatus::VarintOverflow;
+    ++Pos;
+    Value |= static_cast<uint64_t>(Byte & 0x7F) << Shift;
+    if ((Byte & 0x80) == 0)
+      return RecordStatus::Ok;
+  }
+}
+
+/// The one LIMB event-record decoder (v1, indexed v2, the v2 walk).
+/// Reads the record at \p Pos without reading at or past \p End, then
+/// checks its values: `!(Time >= 0)` rejects NaN and negatives, the kind
+/// must be known, and the id must fit u32 and the table its kind
+/// indexes.  Framing is checked before values, so a record that is both
+/// truncated and out of range reports the truncation.  Builds no Error:
+/// recordError formats a failure.
+inline RecordStatus decodeRecord(const char *Data, size_t &Pos, size_t End,
+                                 const RecordBounds &Bounds, RawRecord &R) {
+  const size_t Start = Pos;
+  if (End - Pos < sizeof(double))
+    return {RecordStatus::Truncated, Pos};
+  std::memcpy(&R.Time, Data + Pos, sizeof(double));
+  Pos += sizeof(double);
+  if (Pos >= End)
+    return {RecordStatus::Truncated, Pos};
+  R.Kind = static_cast<uint8_t>(Data[Pos++]);
+  RecordStatus::Code C = decodeVarint(Data, Pos, End, R.Id);
+  if (C == RecordStatus::Ok)
+    C = decodeVarint(Data, Pos, End, R.Bytes);
+  if (C != RecordStatus::Ok)
+    return {C, Pos};
+  if (!(R.Time >= 0.0))
+    return {RecordStatus::BadTime, Start};
+  if (R.Kind > static_cast<uint8_t>(EventKind::MessageRecv))
+    return {RecordStatus::UnknownKind, Start};
+  if (R.Id > UINT32_MAX)
+    return {RecordStatus::IdOverflow, Start};
+  if (R.Id >= Bounds.Limit[R.Kind])
+    return {static_cast<RecordStatus::Code>(RecordStatus::RegionOutOfRange +
+                                            R.Kind / 2),
+            Start};
+  return {RecordStatus::Ok, Start};
+}
+
+/// The Error a failed record reports: code, byte offset and message.
+/// Out of line, so the decoding loops carry no formatting code.
+Error recordError(RecordStatus S, const RawRecord &R = {});
+
 /// Bounds-checked reader over the input buffer.  Offsets in errors are
 /// absolute (relative to the start of the file, including the magic).
 class ByteReader {
@@ -62,29 +161,21 @@ public:
       : Data(Data), Offset(StartOffset), MaxNameBytes(MaxNameBytes) {}
 
   Expected<uint64_t> readVarint() {
-    uint64_t Value = 0;
-    unsigned Shift = 0;
-    while (true) {
-      if (Offset >= Data.size())
-        return makeParseError(ErrorCode::TruncatedInput, 0, Offset,
-                              "binary trace truncated in varint at byte %zu",
-                              Offset);
-      uint8_t Byte = static_cast<uint8_t>(Data[Offset++]);
-      if (Shift >= 64 || (Shift == 63 && Byte > 1))
-        return makeParseError(ErrorCode::MalformedRecord, 0, Offset - 1,
-                              "binary trace: varint overflow at byte %zu",
-                              Offset - 1);
-      Value |= static_cast<uint64_t>(Byte & 0x7F) << Shift;
-      if ((Byte & 0x80) == 0)
-        return Value;
-      Shift += 7;
-    }
+    uint64_t Value;
+    auto C = decodeVarint(Data.data(), Offset, Data.size(), Value);
+    if (C != RecordStatus::Ok)
+      return recordError({C, Offset});
+    return Value;
+  }
+
+  /// Decodes the event record at the cursor (see decodeRecord).
+  RecordStatus readRecord(const RecordBounds &Bounds, RawRecord &R) {
+    return decodeRecord(Data.data(), Offset, Data.size(), Bounds, R);
   }
 
   template <typename T> Expected<T> read() {
     if (Offset + sizeof(T) > Data.size())
-      return makeParseError(ErrorCode::TruncatedInput, 0, Offset,
-                            "binary trace truncated at byte %zu", Offset);
+      return recordError({RecordStatus::Truncated, Offset});
     T Value;
     std::memcpy(&Value, Data.data() + Offset, sizeof(T));
     Offset += sizeof(T);
@@ -177,64 +268,6 @@ Error parseBinaryHeader(std::string_view Data, const ParseOptions &Options,
 /// the sequential no-index walk.
 std::optional<BinaryIndex> readBinaryIndex(std::string_view Data,
                                            const BinaryHeader &H);
-
-/// Validates one decoded event record's values exactly like the v1
-/// reader: non-negative finite-or-not time semantics (`!(Time >= 0)`
-/// rejects NaN and negatives), known kind, id within u32 and within the
-/// table its kind indexes.  On success fills \p E (Time/Kind/Id/Bytes;
-/// the caller sets Proc).
-inline Error validateEventValues(double Time, uint8_t Kind, uint64_t Id,
-                                 uint64_t Bytes, size_t RecordOffset,
-                                 const Trace &T, Event &E) {
-  E.Time = Time;
-  E.Bytes = Bytes;
-  if (!(Time >= 0.0))
-    return makeParseError(ErrorCode::ValueOutOfRange, 0, RecordOffset,
-                          "binary trace: invalid event time at byte "
-                          "%zu",
-                          RecordOffset);
-  if (Kind > static_cast<uint8_t>(EventKind::MessageRecv))
-    return makeParseError(ErrorCode::ValueOutOfRange, 0, RecordOffset,
-                          "binary trace: unknown event kind %u at "
-                          "byte %zu",
-                          Kind, RecordOffset);
-  E.Kind = static_cast<EventKind>(Kind);
-  if (Id > UINT32_MAX)
-    return makeParseError(ErrorCode::ValueOutOfRange, 0, RecordOffset,
-                          "binary trace: event id overflows u32 at "
-                          "byte %zu",
-                          RecordOffset);
-  E.Id = static_cast<uint32_t>(Id);
-  // Range-check ids before appending (append asserts, the parser
-  // must reject gracefully).
-  switch (E.Kind) {
-  case EventKind::RegionEnter:
-  case EventKind::RegionExit:
-    if (E.Id >= T.numRegions())
-      return makeParseError(ErrorCode::ValueOutOfRange, 0, RecordOffset,
-                            "binary trace: region id out of range at "
-                            "byte %zu",
-                            RecordOffset);
-    break;
-  case EventKind::ActivityBegin:
-  case EventKind::ActivityEnd:
-    if (E.Id >= T.numActivities())
-      return makeParseError(ErrorCode::ValueOutOfRange, 0, RecordOffset,
-                            "binary trace: activity id out of range "
-                            "at byte %zu",
-                            RecordOffset);
-    break;
-  case EventKind::MessageSend:
-  case EventKind::MessageRecv:
-    if (E.Id >= T.numProcs())
-      return makeParseError(ErrorCode::ValueOutOfRange, 0, RecordOffset,
-                            "binary trace: peer out of range at byte "
-                            "%zu",
-                            RecordOffset);
-    break;
-  }
-  return Error::success();
-}
 
 } // namespace detail
 } // namespace trace

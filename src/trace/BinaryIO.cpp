@@ -447,6 +447,30 @@ Error StreamingBinaryWriter::writeTrace(const Trace &T,
   return W.close();
 }
 
+Error detail::recordError(RecordStatus S, const RawRecord &R) {
+  // Indexed by RecordStatus::Code; every message ends "at byte N".
+  static constexpr std::pair<ErrorCode, const char *> Texts[] = {
+      {ErrorCode::Generic, ""},
+      {ErrorCode::TruncatedInput, " truncated"},
+      {ErrorCode::TruncatedInput, " truncated in varint"},
+      {ErrorCode::MalformedRecord, ": varint overflow"},
+      {ErrorCode::ValueOutOfRange, ": invalid event time"},
+      {ErrorCode::ValueOutOfRange, ": unknown event kind "},
+      {ErrorCode::ValueOutOfRange, ": event id overflows u32"},
+      {ErrorCode::ValueOutOfRange, ": region id out of range"},
+      {ErrorCode::ValueOutOfRange, ": activity id out of range"},
+      {ErrorCode::ValueOutOfRange, ": peer out of range"},
+  };
+  static_assert(sizeof(Texts) / sizeof(Texts[0]) ==
+                RecordStatus::PeerOutOfRange + 1);
+  assert(!S.ok() && "recordError called on a decoded record");
+  std::string Msg = std::string("binary trace") + Texts[S.What].second;
+  if (S.What == RecordStatus::UnknownKind)
+    Msg += std::to_string(R.Kind);
+  Msg += " at byte " + std::to_string(S.Offset);
+  return Error::coded(Texts[S.What].first, std::move(Msg), 0, S.Offset);
+}
+
 Error detail::parseBinaryHeader(std::string_view Data,
                                 const ParseOptions &Options, BinaryHeader &H,
                                 std::optional<Trace> &TOut,
@@ -560,6 +584,7 @@ Expected<Trace> parseTraceBinaryV1Impl(std::string_view Data,
     return Err;
   Trace &T = *TOpt;
   ByteReader In(Data, H.PayloadStart, Limits.MaxNameBytes);
+  const RecordBounds Bounds(T);
   auto overAllocCap = [&](uint64_t More) {
     AllocBytes += More;
     return AllocBytes > Limits.MaxAllocBytes;
@@ -571,43 +596,28 @@ Expected<Trace> parseTraceBinaryV1Impl(std::string_view Data,
     if (auto Err = CountOrErr.takeError())
       return Err;
     for (uint64_t I = 0; I != *CountOrErr; ++I) {
-      size_t RecordOffset = In.offset();
       if (Options.Report)
         ++Options.Report->TotalRecords;
-      // Field reads keep the stream framed even when values are bad,
-      // so value errors are record-level (droppable in lenient mode)
-      // while read failures (truncation, varint overflow) stay fatal.
-      auto TimeOrErr = In.read<double>();
-      if (auto Err = TimeOrErr.takeError())
-        return Err;
-      auto KindOrErr = In.read<uint8_t>();
-      if (auto Err = KindOrErr.takeError())
-        return Err;
-      auto IdOrErr = In.readVarint();
-      if (auto Err = IdOrErr.takeError())
-        return Err;
-      auto BytesOrErr = In.readVarint();
-      if (auto Err = BytesOrErr.takeError())
-        return Err;
-
-      Event E;
-      E.Proc = Proc;
-      Error ValueErr = validateEventValues(*TimeOrErr, *KindOrErr, *IdOrErr,
-                                           *BytesOrErr, RecordOffset, T, E);
-      if (ValueErr) {
-        ParseError PE = ValueErr.toParseError();
-        if (Options.dropRecord(PE))
-          continue;
-        return Error::fromParse(std::move(PE));
+      // Framing failures (truncation, varint overflow) are fatal; a
+      // framed record with bad values is record-level (droppable in
+      // lenient mode).
+      RawRecord R;
+      RecordStatus S = In.readRecord(Bounds, R);
+      if (!S.ok()) {
+        ParseError PE = recordError(S, R).toParseError();
+        if (S.framing() || !Options.dropRecord(PE))
+          return Error::fromParse(std::move(PE));
+        continue;
       }
       if (++TotalEvents > Limits.MaxEvents)
-        return makeParseError(ErrorCode::LimitExceeded, 0, RecordOffset,
+        return makeParseError(ErrorCode::LimitExceeded, 0, S.Offset,
                               "binary trace: event count exceeds the limit");
       if (overAllocCap(sizeof(Event)))
-        return makeParseError(ErrorCode::LimitExceeded, 0, RecordOffset,
+        return makeParseError(ErrorCode::LimitExceeded, 0, S.Offset,
                               "binary trace: event storage exceeds the "
                               "allocation cap");
-      T.append(E);
+      T.append({R.Time, Proc, static_cast<EventKind>(R.Kind),
+                static_cast<uint32_t>(R.Id), R.Bytes});
     }
   }
   if (!In.atEnd()) {

@@ -88,10 +88,10 @@ void decodeBlock(std::string_view Data, const BinaryHeader &H,
   uint64_t Inspected = 0;
   bool Strict = Options.Mode != ParseMode::Lenient;
 
-  // Charges the whole block: in strict mode the block's error is the
-  // parse error; in lenient mode every declared event of the block is
-  // counted as inspected and dropped, and nothing the block decoded so
-  // far survives.
+  // Charges the whole block: in strict mode the block's error (or its
+  // first bad record's) is the parse error; in lenient mode every
+  // declared event of the block is counted as inspected and dropped,
+  // and nothing the block decoded so far survives.
   auto dropWholeBlock = [&](ParseError PE) {
     if (Strict) {
       State.Report.TotalRecords = Inspected;
@@ -107,20 +107,21 @@ void decodeBlock(std::string_view Data, const BinaryHeader &H,
     State.Report.DroppedByCode[Bucket] += Blk.Events - 1;
   };
 
-  if ((H.Flags & BinaryFlagBlockCrc) != 0 &&
-      crc32(Data.substr(Blk.Offset, Blk.Bytes)) != Blk.Crc) {
-    dropWholeBlock(makeParseError(ErrorCode::MalformedRecord, 0, Blk.Offset,
-                                  "binary trace: block payload CRC mismatch "
-                                  "at byte %zu",
-                                  static_cast<size_t>(Blk.Offset))
-                       .toParseError());
-    return;
+  if ((H.Flags & BinaryFlagBlockCrc) != 0) {
+    LIMA_SPAN("ingest.crc");
+    if (crc32(Data.substr(Blk.Offset, Blk.Bytes)) != Blk.Crc)
+      return dropWholeBlock(makeParseError(ErrorCode::MalformedRecord, 0,
+                                           Blk.Offset,
+                                           "binary trace: block payload "
+                                           "CRC mismatch at byte %zu",
+                                           static_cast<size_t>(Blk.Offset))
+                                .toParseError());
   }
 
-  // Bound reads to the block: a lying payload must not be able to walk
-  // into a neighboring block or the index.
-  ByteReader In(Data.substr(0, BlockEnd), Blk.Offset,
-                Options.Limits.MaxNameBytes);
+  LIMA_SPAN("ingest.records");
+  // Every read stops at the block's end: a lying payload must not be
+  // able to walk into a neighboring block or the index.
+  size_t Pos = Blk.Offset;
   auto indexMismatch = [&](size_t Offset) {
     dropWholeBlock(makeParseError(ErrorCode::MalformedRecord, 0, Offset,
                                   "binary trace: block payload disagrees "
@@ -128,91 +129,60 @@ void decodeBlock(std::string_view Data, const BinaryHeader &H,
                                   Offset)
                        .toParseError());
   };
+  // Reads one run-header varint; a framing failure drops the block.
+  auto header = [&](uint64_t &Value) {
+    RecordStatus::Code C = decodeVarint(Data.data(), Pos, BlockEnd, Value);
+    if (C != RecordStatus::Ok)
+      dropWholeBlock(recordError({C, Pos}).toParseError());
+    return C == RecordStatus::Ok;
+  };
 
-  auto RunCountOrErr = In.readVarint();
-  if (auto Err = RunCountOrErr.takeError()) {
-    dropWholeBlock(Err.toParseError());
+  uint64_t NumRuns;
+  if (!header(NumRuns))
     return;
-  }
-  if (*RunCountOrErr != Blk.NumRuns)
+  if (NumRuns != Blk.NumRuns)
     return indexMismatch(Blk.Offset);
 
-  bool Any = false;
+  // The index holds at least one run and one event per block, so the
+  // first and last times are always set when the loop completes.
+  const RecordBounds Bounds(T);
   double FirstRaw = 0.0, LastRaw = 0.0;
   for (uint32_t R = 0; R != Blk.NumRuns; ++R) {
     const BlockRun &Run = Idx.Runs[Blk.FirstRun + R];
-    size_t RunOffset = In.offset();
-    auto ProcOrErr = In.readVarint();
-    if (auto Err = ProcOrErr.takeError()) {
-      dropWholeBlock(Err.toParseError());
+    const size_t RunOffset = Pos;
+    uint64_t Proc, Count;
+    if (!header(Proc) || !header(Count))
       return;
-    }
-    auto CountOrErr = In.readVarint();
-    if (auto Err = CountOrErr.takeError()) {
-      dropWholeBlock(Err.toParseError());
-      return;
-    }
-    if (*ProcOrErr != Run.Proc || *CountOrErr != Run.Count)
+    if (Proc != Run.Proc || Count != Run.Count)
       return indexMismatch(RunOffset);
 
     const Trace::StreamColumns &C = Cols[Run.Proc];
     const uint64_t Dest = RunDest[Blk.FirstRun + R];
     uint32_t Written = 0;
     for (uint32_t J = 0; J != Run.Count; ++J) {
-      size_t RecordOffset = In.offset();
+      RawRecord Rec;
+      RecordStatus S = decodeRecord(Data.data(), Pos, BlockEnd, Bounds, Rec);
       ++Inspected;
-      auto TimeOrErr = In.read<double>();
-      if (auto Err = TimeOrErr.takeError()) {
-        dropWholeBlock(Err.toParseError());
-        return;
-      }
-      auto KindOrErr = In.read<uint8_t>();
-      if (auto Err = KindOrErr.takeError()) {
-        dropWholeBlock(Err.toParseError());
-        return;
-      }
-      auto IdOrErr = In.readVarint();
-      if (auto Err = IdOrErr.takeError()) {
-        dropWholeBlock(Err.toParseError());
-        return;
-      }
-      auto BytesOrErr = In.readVarint();
-      if (auto Err = BytesOrErr.takeError()) {
-        dropWholeBlock(Err.toParseError());
-        return;
-      }
-      if (!Any) {
-        FirstRaw = *TimeOrErr;
-        Any = true;
-      }
-      LastRaw = *TimeOrErr;
-
-      Event E;
-      E.Proc = Run.Proc;
-      Error ValueErr = validateEventValues(*TimeOrErr, *KindOrErr, *IdOrErr,
-                                           *BytesOrErr, RecordOffset, T, E);
-      if (ValueErr) {
-        ParseError PE = ValueErr.toParseError();
-        if (Strict) {
-          State.Report.TotalRecords = Inspected;
-          State.Err = std::move(PE);
-          return;
-        }
-        State.Report.addDrop(std::move(PE));
+      if (!S.ok() && (S.framing() || Strict))
+        return dropWholeBlock(recordError(S, Rec).toParseError());
+      if (Inspected == 1)
+        FirstRaw = Rec.Time;
+      LastRaw = Rec.Time;
+      if (!S.ok()) {
+        State.Report.addDrop(recordError(S, Rec).toParseError());
         continue;
       }
-      C.Times[Dest + Written] = E.Time;
-      C.Kinds[Dest + Written] = E.Kind;
-      C.Ids[Dest + Written] = E.Id;
-      C.Bytes[Dest + Written] = E.Bytes;
+      C.Times[Dest + Written] = Rec.Time;
+      C.Kinds[Dest + Written] = static_cast<EventKind>(Rec.Kind);
+      C.Ids[Dest + Written] = static_cast<uint32_t>(Rec.Id);
+      C.Bytes[Dest + Written] = Rec.Bytes;
       ++Written;
     }
     State.RunWritten[R] = Written;
   }
-  if (In.offset() != BlockEnd)
-    return indexMismatch(In.offset());
-  if (Any && (!sameBits(FirstRaw, Blk.FirstTime) ||
-              !sameBits(LastRaw, Blk.LastTime)))
+  if (Pos != BlockEnd)
+    return indexMismatch(Pos);
+  if (!sameBits(FirstRaw, Blk.FirstTime) || !sameBits(LastRaw, Blk.LastTime))
     return indexMismatch(Blk.Offset);
   State.Report.TotalRecords = Inspected;
 }
@@ -233,6 +203,7 @@ Expected<Trace> walkBinaryV2(std::string_view Data,
   LIMA_METRIC_COUNT("lima.parse.binary.fallback_total", 1);
   const bool Streamed = (H.Flags & BinaryFlagStreamed) != 0;
   ByteReader In(Data, H.PayloadStart, Options.Limits.MaxNameBytes);
+  const RecordBounds Bounds(T);
   uint64_t Remaining = H.TotalEvents;
   uint64_t Decoded = 0;
 
@@ -267,33 +238,18 @@ Expected<Trace> walkBinaryV2(std::string_view Data,
                               RunOffset);
       uint32_t Proc = static_cast<uint32_t>(*ProcOrErr);
       for (uint64_t J = 0; J != *CountOrErr; ++J) {
-        size_t RecordOffset = In.offset();
         if (Options.Report)
           ++Options.Report->TotalRecords;
-        auto TimeOrErr = In.read<double>();
-        if (auto Err = TimeOrErr.takeError())
-          return Err;
-        auto KindOrErr = In.read<uint8_t>();
-        if (auto Err = KindOrErr.takeError())
-          return Err;
-        auto IdOrErr = In.readVarint();
-        if (auto Err = IdOrErr.takeError())
-          return Err;
-        auto BytesOrErr = In.readVarint();
-        if (auto Err = BytesOrErr.takeError())
-          return Err;
-        Event E;
-        E.Proc = Proc;
-        Error ValueErr =
-            validateEventValues(*TimeOrErr, *KindOrErr, *IdOrErr,
-                                *BytesOrErr, RecordOffset, T, E);
-        if (ValueErr) {
-          ParseError PE = ValueErr.toParseError();
-          if (Options.dropRecord(PE))
-            continue;
-          return Error::fromParse(std::move(PE));
+        RawRecord Rec;
+        RecordStatus S = In.readRecord(Bounds, Rec);
+        if (!S.ok()) {
+          ParseError PE = recordError(S, Rec).toParseError();
+          if (S.framing() || !Options.dropRecord(PE))
+            return Error::fromParse(std::move(PE));
+          continue;
         }
-        T.append(E);
+        T.append({Rec.Time, Proc, static_cast<EventKind>(Rec.Kind),
+                  static_cast<uint32_t>(Rec.Id), Rec.Bytes});
         ++Decoded;
       }
       Remaining -= *CountOrErr;

@@ -38,7 +38,7 @@ using namespace lima;
 using namespace lima::trace;
 
 static void appendEventLine(std::string &Out, const Event &E) {
-  char Buf[128];
+  char Buf[384]; // A message at the largest finite time is 367 chars.
   int Len;
   switch (E.Kind) {
   case EventKind::MessageSend:

@@ -24,6 +24,7 @@
 #include "core/SelfProfile.h"
 #include "core/TraceReduction.h"
 #include "core/WaitStates.h"
+#include "support/Format.h"
 #include "support/Parallel.h"
 #include "support/Telemetry.h"
 #include "support/TraceEventExport.h"
@@ -389,6 +390,51 @@ TEST(TelemetryTest, BulkDecodersSpanStreamSizingInIngestStage) {
       }
     EXPECT_EQ(Sizings, 1u) << (Binary ? "LIMB v2" : "text");
   }
+}
+
+TEST(TelemetryTest, BinaryDecodeSpansEachBlockAndSessionRecordsProcess) {
+  if (!TelemetryCompiled)
+    GTEST_SKIP() << "telemetry compiled out";
+  trace::Trace T = makeTrace(4, 200);
+  trace::BinaryWriteOptions Small;
+  Small.BlockEvents = 500;
+  const std::string Limb = trace::writeTraceBinary(T, Small);
+  const uint64_t Blocks =
+      (T.numEvents() + Small.BlockEvents - 1) / Small.BlockEvents;
+  ASSERT_GT(Blocks, 2u);
+  TelemetrySession Session;
+  (void)cantFail(trace::parseTraceBinaryParallel(Limb, {}, 2));
+  telemetry::setEnabled(false);
+  telemetry::Snapshot S = telemetry::collect();
+
+  // Each block's CRC check and record decode, inside the ingest stage.
+  for (std::string Name : {"ingest.crc", "ingest.records"}) {
+    uint64_t Spans = 0;
+    for (const telemetry::SpanEvent &E : S.Events)
+      if (S.nameOf(E.Name) == Name) {
+        ++Spans;
+        EXPECT_EQ(S.nameOf(E.Stage), "ingest") << Name;
+      }
+    EXPECT_EQ(Spans, Blocks) << Name;
+  }
+
+  // getrusage at collect(): the process has run, faulted pages in and
+  // has a peak RSS, and the stats document carries all of it.
+  const telemetry::ProcessUsage &P = S.Process;
+  EXPECT_GT(P.UserCpuMs + P.SystemCpuMs, 0.0);
+  EXPECT_GT(P.MinorFaults, 0u);
+  EXPECT_GT(P.MaxRssKb, 0u);
+  std::string Json = telemetry::exportSelfProfileJson(S);
+  EXPECT_TRUE(JsonChecker(Json).valid()) << Json.substr(0, 400);
+  for (std::string Field :
+       {"\"process\": {\"user_cpu_ms\": " + formatFixed(P.UserCpuMs, 3),
+        "\"system_cpu_ms\": " + formatFixed(P.SystemCpuMs, 3),
+        "\"minor_faults\": " + std::to_string(P.MinorFaults),
+        "\"major_faults\": " + std::to_string(P.MajorFaults),
+        "\"voluntary_switches\": " + std::to_string(P.VoluntarySwitches),
+        "\"involuntary_switches\": " + std::to_string(P.InvoluntarySwitches),
+        "\"max_rss_kb\": " + std::to_string(P.MaxRssKb) + "}"})
+    EXPECT_NE(Json.find(Field), std::string::npos) << Field;
 }
 
 TEST(TelemetryTest, DisabledModeRecordsNothing) {

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <gtest/gtest.h>
+#include <limits>
 
 using namespace lima;
 using namespace lima::trace;
@@ -351,6 +352,26 @@ TEST(TraceIOTest, RoundTripsExactly) {
   // And the round-tripped trace still validates.
   Error E = Parsed.validate();
   EXPECT_FALSE(static_cast<bool>(E));
+}
+
+TEST(TraceIOTest, WritesTheLongestEventLinesInFull) {
+  // %.9f of the largest finite double is 320 characters: a message line
+  // around it must come out whole and read back bit for bit.
+  const double Max = std::numeric_limits<double>::max();
+  Trace T(2);
+  T.addRegion("r");
+  T.addActivity("a");
+  T.append({Max, 0, EventKind::MessageSend, 1, UINT64_MAX});
+  T.append({Max, 1, EventKind::MessageRecv, 0, UINT64_MAX});
+  std::string Text = writeTraceText(T);
+  EXPECT_EQ(std::count(Text.begin(), Text.end(), '\n'), 6);
+  EXPECT_EQ(Text.find('\0'), std::string::npos);
+  Trace Parsed = cantFail(parseTraceText(Text));
+  ASSERT_EQ(Parsed.numEvents(), 2u);
+  for (unsigned P = 0; P != 2; ++P) {
+    EXPECT_EQ(Parsed.events(P)[0].Time, Max);
+    EXPECT_EQ(Parsed.events(P)[0].Bytes, UINT64_MAX);
+  }
 }
 
 TEST(TraceIOTest, HeaderAndCommentsTolerated) {

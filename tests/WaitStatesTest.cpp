@@ -81,6 +81,22 @@ TEST(WaitStatesTest, RejectsInvalidTrace) {
   EXPECT_TRUE(testutil::failed(analyzeWaitStates(T)));
 }
 
+TEST(WaitStatesTest, TraceWithoutRegionsIsMissingSection) {
+  // A matched send/receive that validate accepts, but no region for the
+  // late-sender cube to be built over.
+  trace::Trace T(2);
+  T.addActivity("p2p");
+  T.append({0.0, 0, EventKind::MessageSend, 1, 8});
+  T.append({0.5, 1, EventKind::MessageRecv, 0, 8});
+  for (ParseMode Mode : {ParseMode::Strict, ParseMode::Lenient}) {
+    Expected<WaitStateReport> Report = analyzeWaitStates(T, Mode);
+    ASSERT_FALSE(static_cast<bool>(Report));
+    Error Err = Report.takeError();
+    EXPECT_EQ(Err.code(), ErrorCode::MissingSection);
+    EXPECT_EQ(Err.message(), "trace declares no regions");
+  }
+}
+
 TEST(WaitStatesTest, PipelineFillIsLateSenderDominated) {
   // The CFD wavefront's p2p time is pipeline fill: downstream ranks
   // block long before upstream ranks send.  Late-sender wait must

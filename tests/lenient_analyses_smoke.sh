@@ -6,7 +6,8 @@
 # exit 0 under --lenient and 6 without it.  On the first two, which
 # break per-event rules, lima_analyze and lima_monitor --window 100 must
 # fail strict mode with the same message, and under --lenient report the
-# same dropped count and the same SID_C.
+# same dropped count and the same SID_C.  Their lenient totals count
+# each event line once: 15 on the first trace.
 # Usage: lenient_analyses_smoke.sh LIMA_ANALYZE LIMA_MONITOR CORPUS WORK
 set -u
 
@@ -61,6 +62,12 @@ for Name in stray-exit-then-earlier overlapping-activities; do
   # The monitor logs a parse report only when it dropped something.
   [ "${AnalyzeDrops:-0}" = "${MonitorDrops:-0}" ] ||
     fail "$Name: dropped ${AnalyzeDrops:-0} and ${MonitorDrops:-0} records"
+  if [ "$Name" = stray-exit-then-earlier ]; then
+    AnalyzeTotal=$(grep -o '"total":[0-9]*' "$Out.analyze.log" | cut -d: -f2)
+    MonitorTotal=$(grep -o '"total":[0-9]*' "$Out.monitor.log" | cut -d: -f2)
+    [ "$AnalyzeTotal" = 15 ] && [ "$MonitorTotal" = 15 ] ||
+      fail "$Name: totals $AnalyzeTotal and $MonitorTotal, expected 15"
+  fi
   AnalyzeSid=$(awk -F, '$0 == "region,ID_C,SID_C" { getline; print $3 }' \
     "$Out.analyze.out")
   MonitorSid=$(grep -o '"sid_c":[-0-9.e]*' "$Out.monitor.log" | cut -d: -f2)

@@ -165,10 +165,11 @@ Expected referenceRun(const std::string &Text, ParseMode Mode) {
   Parse.Mode = Mode;
   Parse.Report = Mode == ParseMode::Lenient ? &Report : nullptr;
   trace::StreamParser Stream(Parse);
+  ParseReport FoldReport;
   core::WindowedOptions Options;
   Options.WindowSeconds = WindowSeconds;
   Options.Mode = Mode;
-  Options.Report = Parse.Report;
+  Options.Report = Mode == ParseMode::Lenient ? &FoldReport : nullptr;
   std::optional<core::WindowedAnalyzer> Analyzer;
   uint64_t Windows = 0;
 
@@ -224,6 +225,10 @@ Expected referenceRun(const std::string &Text, ParseMode Mode) {
     return Result;
   if (Analyzer)
     report(Analyzer->finish());
+  // The fold's drops join the parser's report; its records were
+  // already counted there.
+  FoldReport.TotalRecords = 0;
+  Report.merge(FoldReport);
   if (Mode == ParseMode::Lenient && Report.anyDropped())
     logging::warn("parse report",
                   {logging::field("dropped", Report.DroppedRecords),
