@@ -37,6 +37,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchJson.h"
+#include "TextParserReference.h"
 #include "cluster/KMeans.h"
 #include "core/Dashboard.h"
 #include "core/Pipeline.h"
@@ -646,9 +647,9 @@ int main(int Argc, char **Argv) {
            ", \"speedup_vs_legacy\": " + formatFixed(Speedup, 3) + "}";
   };
   OS << '\n';
-  double LegacyMs = timeMs(
-      Reps, [&] { (void)cantFail(trace::parseTraceTextLegacy(TraceText,
-                                                             StrictParse)); });
+  double LegacyMs = timeMs(Reps, [&] {
+    (void)cantFail(testutil::parseTraceTextLegacy(TraceText, StrictParse));
+  });
   double ScannerMs = timeMs(
       Reps,
       [&] { (void)cantFail(trace::parseTraceText(TraceText, StrictParse)); });

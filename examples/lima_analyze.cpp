@@ -244,7 +244,8 @@ int main(int Argc, char **Argv) {
       Filter.TimeBegin = ExitOnErr(parseDouble(Parts[0]));
       Filter.TimeEnd = ExitOnErr(parseDouble(Parts[1]));
     }
-    Trace = ExitOnErr(trace::filterTrace(Trace, Filter));
+    Trace = ExitOnErr(
+        trace::filterTrace(Trace, Filter, Parse.Mode, Parse.Report));
   }
 
   // Batch windowed history: the whole (already filtered) trace goes

@@ -5,15 +5,18 @@
 //===----------------------------------------------------------------------===//
 
 #include "trace/Filter.h"
+#include "trace/Fold.h"
 #include <algorithm>
 
 using namespace lima;
 using namespace lima::trace;
 
-Expected<Trace> trace::filterTrace(const Trace &T,
-                                   const FilterOptions &Options) {
-  if (auto Err = T.validate())
-    return Err;
+Expected<Trace> trace::filterTrace(const Trace &T, const FilterOptions &Options,
+                                   ParseMode Mode, ParseReport *Report) {
+  const bool Lenient = Mode == ParseMode::Lenient;
+  if (!Lenient)
+    if (auto Err = T.validate())
+      return Err;
   if (!(Options.TimeBegin <= Options.TimeEnd))
     return makeStringError("filter window is empty");
 
@@ -32,6 +35,7 @@ Expected<Trace> trace::filterTrace(const Trace &T,
   for (const std::string &Name : T.activityNames())
     Result.addActivity(Name);
 
+  ParseReport Drops;
   for (unsigned Proc = 0; Proc != T.numProcs(); ++Proc) {
     // The filter unit is the *outermost* region instance: nested child
     // regions ride along with their enclosing bracket, and the region
@@ -39,7 +43,15 @@ Expected<Trace> trace::filterTrace(const Trace &T,
     std::vector<Event> Pending;
     unsigned Depth = 0;
     bool InstanceKept = false;
+    FoldState Fold(Proc, Mode, Trace::BackwardTimeTolerance, &Drops);
+    FoldSink Ignored;
     for (const Event &E : T.events(Proc)) {
+      if (Lenient) {
+        uint64_t DroppedBefore = Drops.DroppedRecords;
+        Fold.step(Ignored, E.Time, E.Kind, E.Id, E.Bytes);
+        if (Drops.DroppedRecords != DroppedBefore)
+          continue; // The fold drops it, and so does the slice.
+      }
       switch (E.Kind) {
       case EventKind::RegionEnter:
         if (Depth == 0) {
@@ -71,5 +83,7 @@ Expected<Trace> trace::filterTrace(const Trace &T,
       }
     }
   }
+  if (Report)
+    Report->merge(Drops);
   return Result;
 }

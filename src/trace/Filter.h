@@ -20,6 +20,7 @@
 #define LIMA_TRACE_FILTER_H
 
 #include "support/Error.h"
+#include "support/ParseLimits.h"
 #include "trace/Trace.h"
 #include <limits>
 #include <string>
@@ -42,8 +43,17 @@ struct FilterOptions {
 /// Produces the sliced trace.  The region/activity name tables are kept
 /// complete (so region ids remain comparable across slices); only the
 /// events are filtered.  Fails when a requested region name does not
-/// exist or the window is empty.  The input must validate.
-Expected<Trace> filterTrace(const Trace &T, const FilterOptions &Options);
+/// exist or the window is empty.
+///
+/// In strict \p Mode the input must validate.  In lenient mode it is
+/// not validated: before slicing, each processor's events go through
+/// the lenient attribution fold (trace/Fold.h), and the events it drops
+/// are left out of the slice and counted in \p Report when one is
+/// given.  A lenient reduction of the slice then drops nothing again,
+/// so each drop is reported once.
+Expected<Trace> filterTrace(const Trace &T, const FilterOptions &Options,
+                            ParseMode Mode = ParseMode::Strict,
+                            ParseReport *Report = nullptr);
 
 } // namespace trace
 } // namespace lima

@@ -6,7 +6,9 @@
 //
 // Structure of a parallel parse:
 //
-//   prologue   sequential TextTraceParser until the first event line
+//   prologue   a StreamParser parses the lines up to the first event
+//              line, creating the trace at 'procs' and registering
+//              every declared name
 //   scan       shard the rest at newline boundaries; per shard, count
 //              lines, count the lines naming each processor
 //              (scan::eventLineProcessor) and look for stray directives
@@ -27,10 +29,13 @@
 // the tables later events validate against), or an event-count /
 // allocation limit that could trip midway (the failing line depends on
 // global position) — is caught after pass A and routed to the
-// sequential parser instead.  That keeps the fast path simple and the
+// sequential parse instead.  That keeps the fast path simple and the
 // equivalence argument airtight: shards only ever parse self-contained
 // event lines against frozen tables, with limits proven untrippable up
-// front.
+// front.  The sequential parse is the same StreamParser, fed the rest
+// of the text in slices, with every event appended to the trace; one
+// thread, a small event section and a header without 'procs' take it
+// too.
 //
 //===----------------------------------------------------------------------===//
 
@@ -39,7 +44,8 @@
 #include "support/Metrics.h"
 #include "support/Parallel.h"
 #include "support/Telemetry.h"
-#include "trace/TextParserDetail.h"
+#include "trace/StreamParser.h"
+#include "trace/TextScan.h"
 #include <algorithm>
 #include <cstring>
 #include <optional>
@@ -53,10 +59,13 @@ namespace {
 /// parse; run sequentially.
 constexpr size_t MinParallelBytes = 64 * 1024;
 
+/// The slice of text one StreamParser::feed call takes in a sequential
+/// parse.
+constexpr size_t FeedBytes = 64 * 1024;
+
 struct Shard {
   size_t Begin = 0; ///< Lines starting in [Begin, End) belong here.
   size_t End = 0;
-  bool Last = false; ///< Owns the trailing unterminated segment.
 
   // Pass A results.
   uint64_t Lines = 0;
@@ -74,15 +83,12 @@ struct Shard {
   std::optional<ParseError> Err;
 };
 
-/// Calls \p F(Begin, End) for every line segment starting in
-/// [\p Begin, \p End), replicating splitString(Text, '\n') segmentation:
-/// the shard marked Last additionally owns the final (possibly empty)
-/// segment after the last '\n' of the input.  Stops early when \p F
-/// returns false.
+/// Calls \p F(Begin, End) for every line starting in [\p Begin, \p End)
+/// of \p S, as the StreamParser cuts them: the last shard also owns an
+/// unterminated final line.  Stops early when \p F returns false.
 template <typename Fn>
 void forEachSegment(std::string_view Text, const Shard &S, Fn &&F) {
   size_t Pos = S.Begin;
-  bool Trailing = S.Last;
   while (Pos < S.End) {
     const void *Nl = std::memchr(Text.data() + Pos, '\n', S.End - Pos);
     if (!Nl) {
@@ -96,13 +102,11 @@ void forEachSegment(std::string_view Text, const Shard &S, Fn &&F) {
       return;
     Pos = SegEnd + 1;
   }
-  if (Trailing)
-    F(S.End, S.End);
 }
 
 /// True when the first whitespace-delimited token of \p Line
-/// (left-trimmed, not blank) is a header directive, i.e. the sequential
-/// parser would not treat this line as an event record.
+/// (left-trimmed, not blank) is a header directive, i.e. the parser
+/// would not treat this line as an event record.
 bool isDirectiveLine(std::string_view Line) {
   // Directives all start with 'p', 'r' or 'a'; cheap reject first.
   char C = Line.front();
@@ -113,6 +117,28 @@ bool isDirectiveLine(std::string_view Line) {
     ++TokEnd;
   std::string_view Tok = Line.substr(0, TokEnd);
   return Tok == "procs" || Tok == "region" || Tok == "activity";
+}
+
+/// Byte offset of the first event line of \p Text: the first line past
+/// the first substantive one (the magic line) that is neither blank, a
+/// comment nor a directive.  Text.size() when there is none.
+size_t eventSectionStart(std::string_view Text) {
+  bool SawFirst = false;
+  for (size_t Pos = 0; Pos < Text.size();) {
+    const void *Nl = std::memchr(Text.data() + Pos, '\n', Text.size() - Pos);
+    size_t End = Nl ? static_cast<size_t>(static_cast<const char *>(Nl) -
+                                          Text.data())
+                    : Text.size();
+    std::string_view Line =
+        scan::skipLeadingSpace(Text.substr(Pos, End - Pos));
+    if (!Line.empty() && Line.front() != '#') {
+      if (SawFirst && !isDirectiveLine(Line))
+        return Pos;
+      SawFirst = true;
+    }
+    Pos = End + 1;
+  }
+  return Text.size();
 }
 
 /// Pass A: line count, directive detection and per-processor line
@@ -206,6 +232,28 @@ void parseShard(std::string_view Text, Shard &S,
     Local.Report->TotalRecords += Records;
 }
 
+/// The parsed trace, with the lima.parse.text.* counts of the parse.
+Trace takeTrace(std::optional<Trace> &Result, [[maybe_unused]] uint64_t Events,
+                [[maybe_unused]] uint64_t Lines) {
+  LIMA_METRIC_COUNT("lima.parse.text.events_total", Events);
+  LIMA_METRIC_COUNT("lima.parse.text.lines_total", Lines);
+  return std::move(*Result);
+}
+
+/// Parses [\p From, end) of \p Text sequentially: \p Parser, which has
+/// consumed everything before \p From, takes the rest in FeedBytes
+/// slices and appends every event to \p Result.
+Expected<Trace> parseSequentially(std::string_view Text, size_t From,
+                                  StreamParser &Parser,
+                                  std::optional<Trace> &Result) {
+  for (size_t Pos = From; Pos < Text.size(); Pos += FeedBytes)
+    if (auto Err = Parser.feed(Text.substr(Pos, FeedBytes), Result))
+      return Err;
+  if (auto Err = Parser.finish(Result))
+    return Err;
+  return takeTrace(Result, Parser.eventsParsed(), Parser.lineNumber());
+}
+
 } // namespace
 
 Expected<Trace> trace::parseTraceTextParallel(std::string_view Text,
@@ -215,27 +263,25 @@ Expected<Trace> trace::parseTraceTextParallel(std::string_view Text,
 
   // Phase 1: the header prologue is inherently sequential (each
   // declaration changes the tables the next line validates against).
-  detail::TextTraceParser Parser(Text, Options);
-  if (auto Err = Parser.parsePrologue())
+  // It ends at a line start, so the parser holds no partial line.
+  StreamParser Parser(Options);
+  std::optional<Trace> Result;
+  const size_t EvStart = eventSectionStart(Text);
+  if (auto Err = Parser.feed(Text.substr(0, EvStart), Result))
     return Err;
-  scan::EventTables Tables = Parser.tables();
-  size_t EvStart = Parser.position();
   size_t Remain = Text.size() - EvStart;
   // Every shard keeps three counters for every processor (its line
   // count, its slice's base, the events written); cap the shard count
   // so that they never outweigh the event text itself.
-  if (Tables.SawProcs)
+  if (Parser.headerComplete())
     Threads = static_cast<unsigned>(std::min<size_t>(
-        Threads, Remain / (Tables.NumProcs * 3 * sizeof(uint64_t))));
-  if (Parser.atEnd() || !Tables.SawProcs || Threads <= 1 ||
-      Remain < MinParallelBytes) {
-    // Nothing shardable (or not worth sharding): finish sequentially.
-    // !SawProcs means the next line fails with MissingSection; let the
-    // sequential parser produce that error verbatim.
-    if (auto Err = Parser.parseAll())
-      return Err;
-    return Parser.take();
-  }
+        Threads, Remain / (Parser.numProcs() * 3 * sizeof(uint64_t))));
+  // Nothing shardable (or not worth sharding): parse sequentially.
+  // Without 'procs' the next event line fails with MissingSection, or
+  // is dropped in lenient mode ahead of a late 'procs'; the sequential
+  // parse gives either verbatim.
+  if (!Parser.headerComplete() || Threads <= 1 || Remain < MinParallelBytes)
+    return parseSequentially(Text, EvStart, Parser, Result);
 
   // Phase 2: shard [EvStart, end) at newline boundaries.
   LIMA_STAGE("ingest");
@@ -264,12 +310,11 @@ Expected<Trace> trace::parseTraceTextParallel(std::string_view Text,
       Shards.push_back(S);
     }
     Shards.back().End = Text.size();
-    Shards.back().Last = true;
 
     // Pass A: count lines, and per processor the lines naming it; look
     // for stray directives.
     parallelFor(Shards.size(), Threads, [&](size_t I) {
-      scanShard(Text, Shards[I], Tables.NumProcs);
+      scanShard(Text, Shards[I], Parser.numProcs());
     });
   }
 
@@ -284,26 +329,26 @@ Expected<Trace> trace::parseTraceTextParallel(std::string_view Text,
   // later events validate against, and a limit that could trip
   // mid-section fails on a line that depends on global event/byte
   // totals.  Both are position-dependent in a way shards cannot see,
-  // so replay them through the sequential parser (bit-identical by
+  // so replay them through the sequential parse (bit-identical by
   // construction).  RemainLines over-approximates remaining events, so
   // passing these checks proves no shard can trip either limit.
   const ParseLimits &Limits = Options.Limits;
   if (SawDirective ||
-      Parser.totalEvents() + RemainLines > Limits.MaxEvents ||
+      Parser.eventsParsed() + RemainLines > Limits.MaxEvents ||
       Parser.allocBytes() + RemainLines * sizeof(Event) >
           Limits.MaxAllocBytes) {
     LIMA_METRIC_COUNT("lima.ingest.fallback_total", 1);
-    if (auto Err = Parser.parseAll())
-      return Err;
-    return Parser.take();
+    return parseSequentially(Text, EvStart, Parser, Result);
   }
 
   // Phase 3: size every stream once.  A processor's stream is its
   // shards' slices in shard order, which is file order.  Counts never
   // exceed RemainLines, so the storage stays inside the bound the
   // allocation check above proved.
-  Trace &T = Parser.trace();
+  Trace &T = *Result;
   const unsigned NumProcs = T.numProcs();
+  const scan::EventTables Tables{true, NumProcs, T.numRegions(),
+                                 T.numActivities()};
   std::vector<Trace::StreamColumns> Cols(NumProcs);
   {
     LIMA_SPAN("ingest.size");
@@ -325,7 +370,7 @@ Expected<Trace> trace::parseTraceTextParallel(std::string_view Text,
   // Phase 4: parse shards concurrently, each into its own slices.
   {
     LIMA_SPAN("ingest.parse");
-    size_t NextLine = Parser.nextLineNumber();
+    size_t NextLine = Parser.lineNumber() + 1;
     for (Shard &S : Shards) {
       S.FirstLineNo = NextLine;
       NextLine += S.Lines;
@@ -360,9 +405,8 @@ Expected<Trace> trace::parseTraceTextParallel(std::string_view Text,
     }
     T.truncateStream(Proc, At);
   }
-  Parser.noteShardedSection(RemainLines, MergedEvents,
-                            MergedEvents * sizeof(Event));
-  return Parser.take();
+  return takeTrace(Result, Parser.eventsParsed() + MergedEvents,
+                   Parser.lineNumber() + RemainLines);
 }
 
 Expected<Trace> trace::loadTraceParallel(const std::string &Path,

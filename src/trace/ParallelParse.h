@@ -5,12 +5,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Parallel ingestion of the LIMATRACE text format: the header prologue
-/// is parsed sequentially, then the event section is sharded at newline
-/// boundaries and parsed concurrently on the shared thread pool.
+/// Parallel ingestion of the LIMATRACE text format: a StreamParser
+/// parses the header prologue, then the event section is sharded at
+/// newline boundaries and parsed concurrently on the shared thread
+/// pool, or fed to the same StreamParser on the calling thread.
 ///
-/// The contract is bit-identical equivalence with parseTraceText at
-/// every thread count:
+/// The contract is bit-identical results at every thread count, equal
+/// to the one-thread parse (parseTraceText):
 ///
 ///  - the produced Trace is identical (each shard keeps its events per
 ///    processor in file order, and every processor's stream concatenates
@@ -25,7 +26,7 @@
 ///
 /// Inputs that sharding cannot reproduce exactly — declarations after
 /// the first event line, or limits that could trip mid-section — are
-/// detected in a cheap pre-scan and fall back to the sequential parser,
+/// detected in a cheap pre-scan and fall back to the sequential feed,
 /// so equivalence holds unconditionally (see DESIGN.md, "Ingestion fast
 /// path" for the determinism argument).
 ///
@@ -43,9 +44,9 @@
 namespace lima {
 namespace trace {
 
-/// parseTraceText semantics on \p Threads threads (0 = all hardware
-/// threads, 1 = the sequential parser on the calling thread).  Small
-/// inputs run sequentially regardless.
+/// Parses LIMATRACE text on \p Threads threads (0 = all hardware
+/// threads, 1 = the sequential StreamParser feed on the calling
+/// thread).  Small event sections run sequentially regardless.
 Expected<Trace> parseTraceTextParallel(std::string_view Text,
                                        const ParseOptions &Options = {},
                                        unsigned Threads = 0);

@@ -11,10 +11,44 @@
 using namespace lima;
 using namespace lima::trace;
 
+namespace {
+
+// The two places events go.  Only what each sink keeps is charged (see
+// the file comment of StreamParser.h): a vector hands its events on, a
+// trace keeps every one.
+template <typename Sink>
+constexpr uint64_t KeptEventBytes = 0;
+template <>
+constexpr uint64_t KeptEventBytes<std::optional<Trace>> = sizeof(Event);
+
+void declareProcs(std::vector<Event> &, unsigned) {}
+void declareProcs(std::optional<Trace> &Into, unsigned NumProcs) {
+  Into.emplace(NumProcs);
+}
+
+void declareName(std::vector<Event> &, bool, std::string_view) {}
+void declareName(std::optional<Trace> &Into, bool IsRegion,
+                 std::string_view Name) {
+  if (IsRegion)
+    Into->addRegion(std::string(Name));
+  else
+    Into->addActivity(std::string(Name));
+}
+
+void emit(std::vector<Event> &Out, const Event &E) {
+  Out.push_back(E);
+}
+void emit(std::optional<Trace> &Into, const Event &E) {
+  Into->append(E);
+}
+
+} // namespace
+
 StreamParser::StreamParser(ParseOptions Opts) : Options(std::move(Opts)) {}
 
-Error StreamParser::parseLine(std::string_view RawLine,
-                              std::vector<Event> &Out, bool Declined) {
+template <typename Sink>
+Error StreamParser::parseLine(std::string_view RawLine, Sink &Out,
+                              bool Declined) {
   const ParseLimits &Limits = Options.Limits;
   ++LineNo;
   size_t LineOffset = StreamOffset;
@@ -27,11 +61,15 @@ Error StreamParser::parseLine(std::string_view RawLine,
     return makeParseError(ErrorCode::BadNumber, LineNo, LineOffset,
                           "trace line %zu: %s", LineNo, E.message().c_str());
   };
-  // Accepted events, from either path, count against the limit here.
+  // Accepted events, from either path, count against the limits here.
   auto append = [&](const Event &E) {
     if (++TotalEvents > Limits.MaxEvents)
       return fail(ErrorCode::LimitExceeded, "event count exceeds the limit");
-    Out.push_back(E);
+    AllocBytes += KeptEventBytes<Sink>;
+    if (AllocBytes > Limits.MaxAllocBytes)
+      return fail(ErrorCode::LimitExceeded,
+                  "event storage exceeds the allocation cap");
+    emit(Out, E);
     return Error::success();
   };
 
@@ -50,8 +88,7 @@ Error StreamParser::parseLine(std::string_view RawLine,
     scan::noteCanonicalTrial(Line, false, CanonicalMisses);
   } else if (SawProcs &&
              scan::tryCanonicalEvent(Line, Tables, E, CanonicalMisses)) {
-    if (Options.Report)
-      ++Options.Report->TotalRecords;
+    ++Records;
     return append(E);
   }
   std::string_view Fields[scan::MaxFields];
@@ -80,8 +117,13 @@ Error StreamParser::parseLine(std::string_view RawLine,
     if (*CountOrErr > Limits.MaxProcs)
       return fail(ErrorCode::LimitExceeded,
                   "processor count exceeds the limit");
+    AllocBytes += *CountOrErr * sizeof(std::vector<Event>);
+    if (AllocBytes > Limits.MaxAllocBytes)
+      return fail(ErrorCode::LimitExceeded,
+                  "processor table exceeds the allocation cap");
     SawProcs = true;
     NumProcs = static_cast<unsigned>(*CountOrErr);
+    declareProcs(Out, NumProcs);
     return Error::success();
   }
 
@@ -117,19 +159,21 @@ Error StreamParser::parseLine(std::string_view RawLine,
                   IsRegion ? "duplicate region name"
                            : "duplicate activity name");
     Table.push_back(std::string(Fields[2]));
+    declareName(Out, IsRegion, Fields[2]);
     return Error::success();
   }
 
   // Event record: the grammar lives in scan::parseEventRecord, shared
-  // with the batch and sharded parsers so the three cannot drift.
-  if (Options.Report)
-    ++Options.Report->TotalRecords;
+  // with the sharded parser's pass B so the two cannot drift.
+  ++Records;
   Error RecordErr =
       scan::parseEventRecord(Fields, NumFields, Tables, LineNo, LineOffset, E);
   if (RecordErr) {
+    // 'procs' missing is a header problem, not a record problem:
+    // nothing later can succeed, so it stays fatal in lenient mode.
     ParseError PE = RecordErr.toParseError();
     if (PE.Code != ErrorCode::MissingSection && Options.dropRecord(PE)) {
-      LIMA_METRIC_COUNT("lima.stream.dropped_total", 1);
+      ++Dropped;
       return Error::success();
     }
     return Error::fromParse(std::move(PE));
@@ -137,12 +181,41 @@ Error StreamParser::parseLine(std::string_view RawLine,
   return append(E);
 }
 
-// lima.stream.events_total is bumped once per feed() or finish() call
-// with the events it appended, not once per event.
+// lima.stream.events_total and lima.stream.dropped_total count the
+// events a vector receives and the records dropped on the way, each
+// bumped once per feed() or finish() call rather than once per event.
 Error StreamParser::feed(std::string_view Bytes, std::vector<Event> &Out) {
   [[maybe_unused]] size_t Before = Out.size();
+  uint64_t DroppedBefore = Dropped;
   Error Err = feedLines(Bytes, Out);
+  flushRecords();
   LIMA_METRIC_COUNT("lima.stream.events_total", Out.size() - Before);
+  if (Dropped != DroppedBefore)
+    LIMA_METRIC_COUNT("lima.stream.dropped_total", Dropped - DroppedBefore);
+  return Err;
+}
+
+Error StreamParser::finish(std::vector<Event> &Out) {
+  size_t Before = Out.size();
+  uint64_t DroppedBefore = Dropped;
+  Error Err = finishLines(Out);
+  flushRecords();
+  if (Out.size() != Before)
+    LIMA_METRIC_COUNT("lima.stream.events_total", Out.size() - Before);
+  if (Dropped != DroppedBefore)
+    LIMA_METRIC_COUNT("lima.stream.dropped_total", Dropped - DroppedBefore);
+  return Err;
+}
+
+Error StreamParser::feed(std::string_view Bytes, std::optional<Trace> &Into) {
+  Error Err = feedLines(Bytes, Into);
+  flushRecords();
+  return Err;
+}
+
+Error StreamParser::finish(std::optional<Trace> &Into) {
+  Error Err = finishLines(Into);
+  flushRecords();
   return Err;
 }
 
@@ -152,11 +225,11 @@ Error StreamParser::feed(std::string_view Bytes, std::vector<Event> &Out) {
 // through the canonical recognizer, run straight on \p Bytes: it finds
 // the line's '\n' as it reads the fields, so an accepted line is read
 // once.  A line it declines, one the chunk's end cuts, one over
-// MaxLineBytes or one that would pass MaxEvents takes parseLine as
-// before.  After an error Buffer holds the bytes past the failing line,
-// as if the whole chunk had been buffered.
-Error StreamParser::feedLines(std::string_view Bytes,
-                              std::vector<Event> &Out) {
+// MaxLineBytes or one that would pass MaxEvents or MaxAllocBytes takes
+// parseLine.  After an error Buffer holds the bytes past the failing
+// line, as if the whole chunk had been buffered.
+template <typename Sink>
+Error StreamParser::feedLines(std::string_view Bytes, Sink &Out) {
   if (!Buffer.empty()) {
     size_t Newline = Bytes.find('\n');
     Buffer.append(Bytes.substr(0, Newline));
@@ -174,6 +247,7 @@ Error StreamParser::feedLines(std::string_view Bytes,
     }
   }
   const ParseLimits &Limits = Options.Limits;
+  constexpr uint64_t Cost = KeptEventBytes<Sink>;
   size_t Start = 0;
   while (Start != Bytes.size()) {
     bool Declined = false;
@@ -188,16 +262,17 @@ Error StreamParser::feedLines(std::string_view Bytes,
                                     E, Length)) {
         Declined = true;
       } else if (Length != Rest.size() && Length <= Limits.MaxLineBytes &&
-                 TotalEvents < Limits.MaxEvents) {
+                 TotalEvents < Limits.MaxEvents &&
+                 (Cost == 0 || AllocBytes + Cost <= Limits.MaxAllocBytes)) {
         ++LineNo;
         StreamOffset += Length + 1;
         Start += Length + 1;
         scan::noteCanonicalTrial(Rest.substr(0, Length), true,
                                  CanonicalMisses);
-        if (Options.Report)
-          ++Options.Report->TotalRecords;
+        ++Records;
         ++TotalEvents;
-        Out.push_back(E);
+        AllocBytes += Cost;
+        emit(Out, E);
         continue;
       }
     }
@@ -215,21 +290,19 @@ Error StreamParser::feedLines(std::string_view Bytes,
   Buffer.append(Bytes.substr(Start));
   // A partial line longer than the limit can never become valid; fail
   // now instead of buffering unboundedly.
-  if (Buffer.size() > Options.Limits.MaxLineBytes)
+  if (Buffer.size() > Limits.MaxLineBytes)
     return makeParseError(ErrorCode::LimitExceeded, LineNo + 1, StreamOffset,
                           "trace line %zu: line exceeds the length limit",
                           LineNo + 1);
   return Error::success();
 }
 
-Error StreamParser::finish(std::vector<Event> &Out) {
+template <typename Sink>
+Error StreamParser::finishLines(Sink &Out) {
   if (!Buffer.empty()) {
     std::string Last;
     Last.swap(Buffer);
-    [[maybe_unused]] size_t Before = Out.size();
-    Error Err = parseLine(Last, Out);
-    LIMA_METRIC_COUNT("lima.stream.events_total", Out.size() - Before);
-    if (Err)
+    if (auto Err = parseLine(Last, Out))
       return Err;
     StreamOffset += Last.size();
   }

@@ -5,10 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The allocation-free scanning core shared by every LIMATRACE text
-/// consumer — the batch parser (parseTraceText), the sharded parallel
-/// parser (parseTraceTextParallel) and the incremental StreamParser —
-/// plus eventLineProcessor, the rule the sharded parser counts each
+/// The allocation-free scanning core shared by the two LIMATRACE text
+/// consumers — StreamParser, which runs every line-at-a-time parse, and
+/// the sharded parser's pass B (parseTraceTextParallel) — plus
+/// eventLineProcessor, the rule the sharded parser counts each
 /// processor's lines by before it sizes the streams.  Four layers:
 ///
 ///  - scanCanonicalEvent: a one-pass recognizer for the event lines
@@ -18,8 +18,8 @@
 ///    the line to that path.  It never decides an error: every drop,
 ///    message and count still comes from parseEventRecord.  It finds
 ///    the line's end itself, so the stream parser runs it straight on
-///    its read buffer, while the batch and sharded parsers hand it one
-///    line they already cut.
+///    the bytes it is fed, while the sharded parser hands it one line
+///    it already cut.
 ///  - splitFields: an in-place cursor tokenizer that replaces the
 ///    per-line splitWhitespace() vector (one heap allocation per line)
 ///    with a fixed field array on the caller's stack;
@@ -31,7 +31,7 @@
 ///    floats, out-of-range and subnormal handling all route through the
 ///    old code);
 ///  - parseEventRecord: the one event-record grammar, shared so the
-///    three consumers cannot drift apart in error codes, messages or
+///    two consumers cannot drift apart in error codes, messages or
 ///    range checks.
 ///
 /// The canonical grammar (anything else returns false):
@@ -164,9 +164,9 @@ inline std::optional<EventKind> kindFromMnemonic(std::string_view Mnemonic) {
   return std::nullopt;
 }
 
-/// The name tables an event record validates against.  Parsers that
-/// build a Trace pass the trace's table sizes; the stream parser passes
-/// its own vectors' sizes.
+/// The name tables an event record validates against: the stream
+/// parser passes its own tables' sizes, the sharded parser the frozen
+/// sizes of the trace the prologue built.
 struct EventTables {
   bool SawProcs = false;
   unsigned NumProcs = 0;
@@ -538,8 +538,8 @@ inline bool eventLineProcessor(std::string_view Line, unsigned NumProcs,
 /// Heap bytes a registered name of \p Len bytes actually costs: the
 /// std::string header always, plus the out-of-line buffer only past the
 /// small-string capacity.  This is the tightened ParseLimits accounting
-/// the zero-alloc scanner charges (the legacy parser over-charged short
-/// names by their length and ignored SSO entirely).
+/// StreamParser charges (the legacy oracle over-charges short names by
+/// their length and ignores SSO entirely).
 inline uint64_t nameAllocCost(size_t Len) {
   static const size_t SsoCapacity = std::string().capacity();
   return sizeof(std::string) + (Len > SsoCapacity ? Len + 1 : 0);

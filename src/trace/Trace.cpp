@@ -23,15 +23,19 @@ Trace::Trace(unsigned NumProcs) : Streams(NumProcs) {
 }
 
 uint32_t Trace::addRegion(std::string Name) {
-  assert(findRegion(Name) == InvalidId && "duplicate region name");
+  uint32_t Id = static_cast<uint32_t>(RegionNames.size());
+  [[maybe_unused]] bool Fresh = RegionIds.emplace(Name, Id).second;
+  assert(Fresh && "duplicate region name");
   RegionNames.push_back(std::move(Name));
-  return static_cast<uint32_t>(RegionNames.size() - 1);
+  return Id;
 }
 
 uint32_t Trace::addActivity(std::string Name) {
-  assert(findActivity(Name) == InvalidId && "duplicate activity name");
+  uint32_t Id = static_cast<uint32_t>(ActivityNames.size());
+  [[maybe_unused]] bool Fresh = ActivityIds.emplace(Name, Id).second;
+  assert(Fresh && "duplicate activity name");
   ActivityNames.push_back(std::move(Name));
-  return static_cast<uint32_t>(ActivityNames.size() - 1);
+  return Id;
 }
 
 const std::string &Trace::regionName(uint32_t Id) const {
@@ -45,17 +49,13 @@ const std::string &Trace::activityName(uint32_t Id) const {
 }
 
 uint32_t Trace::findRegion(std::string_view Name) const {
-  for (size_t I = 0; I != RegionNames.size(); ++I)
-    if (RegionNames[I] == Name)
-      return static_cast<uint32_t>(I);
-  return InvalidId;
+  auto It = RegionIds.find(Name);
+  return It == RegionIds.end() ? InvalidId : It->second;
 }
 
 uint32_t Trace::findActivity(std::string_view Name) const {
-  for (size_t I = 0; I != ActivityNames.size(); ++I)
-    if (ActivityNames[I] == Name)
-      return static_cast<uint32_t>(I);
-  return InvalidId;
+  auto It = ActivityIds.find(Name);
+  return It == ActivityIds.end() ? InvalidId : It->second;
 }
 
 void Trace::append(const Event &E) {

@@ -36,7 +36,9 @@
 #include <iterator>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <type_traits>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -279,8 +281,22 @@ public:
   Error validate(unsigned Threads = 1) const;
 
 private:
+  /// Hashes names for lookup by std::string_view without a copy.
+  struct NameHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view Name) const {
+      return std::hash<std::string_view>()(Name);
+    }
+  };
+  /// Each registered name's id, so registering or finding a name costs
+  /// O(1) however many there are.
+  using NameIndex =
+      std::unordered_map<std::string, uint32_t, NameHash, std::equal_to<>>;
+
   std::vector<std::string> RegionNames;
   std::vector<std::string> ActivityNames;
+  NameIndex RegionIds;
+  NameIndex ActivityIds;
   std::vector<Stream> Streams;
 };
 

@@ -41,8 +41,10 @@ namespace trace {
 /// Serializes \p T to the text format.
 std::string writeTraceText(const Trace &T);
 
-/// Parses the text format.  Structural validation (validate()) is not
-/// run automatically; callers decide how strict to be.
+/// Parses the text format on the calling thread:
+/// parseTraceTextParallel(Text, Options, 1).  Structural validation
+/// (validate()) is not run automatically; callers decide how strict to
+/// be.
 ///
 /// Header lines (magic, 'procs', declarations) are always load-bearing:
 /// errors there are fatal in either mode.  Event lines are records: in
@@ -51,15 +53,6 @@ std::string writeTraceText(const Trace &T);
 /// violations are fatal in both modes.
 Expected<Trace> parseTraceText(std::string_view Text,
                                const ParseOptions &Options = {});
-
-/// The pre-fast-path text parser, kept verbatim as the behavioral
-/// reference: the golden-equivalence suite asserts parseTraceText and
-/// parseTraceTextParallel match it bit for bit, and bench/perf_parallel
-/// reports the fast path's speedup against it.  Not for production use;
-/// it allocates per line and charges the old (looser) ParseLimits
-/// allocation accounting.
-Expected<Trace> parseTraceTextLegacy(std::string_view Text,
-                                     const ParseOptions &Options = {});
 
 /// Convenience: writeTraceText to a file.
 Error saveTrace(const Trace &T, const std::string &Path);

@@ -6,9 +6,10 @@
 //
 // The golden-equivalence suite for the ingestion fast path: every text
 // fixture in fuzz/corpus/ plus a set of synthetic stress inputs runs
-// through the frozen legacy parser, the single-pass scanner and the
-// sharded parallel parser at 1, 2 and 8 threads, in both strict and
-// lenient mode.  Success/failure, the serialized Trace, every event
+// through the frozen legacy parser (TextParserReference.h),
+// parseTraceText (the StreamParser fed in slices) and the sharded
+// parallel parser at 1, 2 and 8 threads, in both strict and lenient
+// mode.  Success/failure, the serialized Trace, every event
 // column (memcmp, so a time one ulp off fails), the structured error
 // (code, line, offset, message) and the full ParseReport (totals,
 // per-code drop counts, samples) must agree bit for bit.  This is the
@@ -17,13 +18,15 @@
 // path's limits (trace/TextScan.h).
 //
 // Also pins the tightened ParseLimits allocation accounting to its
-// documented formula.
+// documented formula, and where each charge trips.
 //
 //===----------------------------------------------------------------------===//
 
+#include "TextParserReference.h"
 #include "TraceCompare.h"
 #include "support/FileUtils.h"
 #include "support/Metrics.h"
+#include "support/Parallel.h"
 #include "support/ParseLimits.h"
 #include "support/RNG.h"
 #include "trace/ParallelParse.h"
@@ -59,7 +62,7 @@ Outcome runParse(std::string_view Text, ParseMode Mode,
   Options.Mode = Mode;
   Options.Report = Mode == ParseMode::Lenient ? &O.Report : nullptr;
   Expected<Trace> Result =
-      Threads < 0 ? trace::parseTraceTextLegacy(Text, Options)
+      Threads < 0 ? testutil::parseTraceTextLegacy(Text, Options)
       : Threads == 0
           ? trace::parseTraceText(Text, Options)
           : trace::parseTraceTextParallel(Text, Options,
@@ -625,6 +628,60 @@ TEST(IngestEquivalence, WideProcessorTableParsesUnsharded) {
   expectEquivalent(Wide, "wide-proc-table");
 }
 
+/// Bytes one sequential parse hands StreamParser::feed at a time
+/// (ParallelParse.cpp); the slices start at the first event line.
+constexpr size_t FeedBytes = 64 * 1024;
+
+/// The hardware thread count, which is what --threads 0 runs on.
+int defaultThreads() {
+  return static_cast<int>(hardwareThreads());
+}
+
+TEST(IngestEquivalence, FeedSliceBoundaryOnEveryByte) {
+  // The sequential parse feeds the event section in FeedBytes slices.
+  // Pad the section with a comment so that a slice ends on every byte
+  // of an event line with a CRLF, a declaration among the events (which
+  // sends 2 and 8 threads to the sequential fallback) and the event
+  // that uses it; once more with a bad line, for lenient mode to drop.
+  const std::string Header = "LIMATRACE 1\nprocs 2\nregion 0 r\n"
+                             "activity 0 a\n";
+  const std::string First = "re 0 1.0 0\n";
+  const std::string Clean =
+      "ms 1 2.000000001 0 64\r\nregion 1 late\nre 1 3.0 1\n";
+  for (const std::string &Body : {Clean, Clean + "zz 1 4 0\n"})
+    for (size_t Cut = 0; Cut <= Body.size(); ++Cut) {
+      // "# " plus padding plus '\n' ends where the body starts, FeedBytes
+      // - Cut bytes past the first event line.
+      size_t Pad = FeedBytes - Cut - First.size() - 3;
+      std::string Text = Header + First + "# " + std::string(Pad, 'p') +
+                         "\n" + Body + "rx 1 5.0 1\nrx 0 6.0 0\n";
+      ASSERT_EQ(Text.find(Body), Header.size() + FeedBytes - Cut);
+      expectEquivalent(Text, "slice-cut-" + std::to_string(Cut),
+                       {1, 2, 8, defaultThreads()});
+    }
+}
+
+TEST(IngestEquivalence, FeedSlicesAndLongLines) {
+  // Lines the sequential feed holds across slices: a comment longer
+  // than one slice, at the line limit (accepted) and one byte past it
+  // (fatal), an event line over the limit in the middle of the event
+  // section, and a final line with no '\n'.
+  const std::string Big = makeBigTrace(800);
+  const size_t Mid = Big.find("\nre 2 ", Big.size() / 2) + 1;
+  const size_t Limit = ParseLimits().MaxLineBytes;
+  auto withLine = [&](const std::string &Line) {
+    return Big.substr(0, Mid) + Line + "\n" + Big.substr(Mid);
+  };
+  expectEquivalent(withLine("#" + std::string(Limit - 1, 'c')),
+                   "comment-at-limit", {1, 2, 8, defaultThreads()});
+  expectEquivalent(withLine("#" + std::string(Limit, 'c')),
+                   "comment-past-limit", {1, 2, 8, defaultThreads()});
+  expectEquivalent(withLine("re 2 1.0 0" + std::string(Limit, ' ')),
+                   "event-past-limit", {1, 2, 8, defaultThreads()});
+  expectEquivalent(Big.substr(0, Big.size() - 1), "unterminated-last",
+                   {1, 2, 8, defaultThreads()});
+}
+
 TEST(IngestEquivalence, AllocAccountingPinned) {
   // The tightened accounting formula, pinned: a std::string header per
   // name plus the out-of-line buffer (len + NUL) only beyond the SSO
@@ -652,6 +709,55 @@ TEST(IngestEquivalence, AllocAccountingPinned) {
   Expected<Trace> Fail = trace::parseTraceText(Text, OneLess);
   ASSERT_FALSE(static_cast<bool>(Fail));
   EXPECT_EQ(Fail.takeError().toParseError().Code, ErrorCode::LimitExceeded);
+
+  // Where each charge trips: the failing line, its offset and message,
+  // alike at every thread count and in both modes.  The event section
+  // is over 64 KiB, so 2 and 8 threads reach the sequential fallback.
+  // The declaration after the events trips only because the events
+  // kept so far count as event storage.
+  const std::string Header = "LIMATRACE 1\nprocs 2\nregion 0 ab\n";
+  std::string Events;
+  for (int I = 0; I != 8000; ++I)
+    Events += "re 0 1.0 0\nrx 0 2.0 0\n";
+  ASSERT_GT(Events.size(), size_t(64) * 1024);
+  const std::string Big = Header + Events + "region 1 cd\nre 1 3.0 1\n";
+  const uint64_t Table = 2 * sizeof(std::vector<Event>);
+  const uint64_t Name = trace::scan::nameAllocCost(2);
+  const struct {
+    const char *What;
+    uint64_t Cap;
+    size_t Line;
+    size_t Offset;
+    const char *Message;
+  } Trips[] = {
+      {"processor table", Table - 1, 2, 12,
+       "trace line 2: processor table exceeds the allocation cap"},
+      {"event storage", Table + Name + 1000 * sizeof(Event) - 1, 1003,
+       Header.size() + 999 * 11,
+       "trace line 1003: event storage exceeds the allocation cap"},
+      {"late declaration", Table + Name + 16000 * sizeof(Event) + Name - 1,
+       16004, Header.size() + Events.size(),
+       "trace line 16004: name tables exceed the allocation cap"},
+  };
+  for (const auto &Trip : Trips)
+    for (ParseMode Mode : {ParseMode::Strict, ParseMode::Lenient})
+      for (unsigned Threads : {0u, 1u, 2u, 8u}) {
+        ParseReport Report;
+        ParseOptions Options;
+        Options.Mode = Mode;
+        Options.Report = &Report;
+        Options.Limits.MaxAllocBytes = Trip.Cap;
+        std::string Context = std::string(Trip.What) + ", threads " +
+                              std::to_string(Threads);
+        Expected<Trace> Result =
+            trace::parseTraceTextParallel(Big, Options, Threads);
+        ASSERT_FALSE(static_cast<bool>(Result)) << Context;
+        ParseError PE = Result.takeError().toParseError();
+        EXPECT_EQ(PE.Code, ErrorCode::LimitExceeded) << Context;
+        EXPECT_EQ(PE.Line, Trip.Line) << Context;
+        EXPECT_EQ(PE.Offset, Trip.Offset) << Context;
+        EXPECT_EQ(PE.Msg, Trip.Message) << Context;
+      }
 }
 
 } // namespace

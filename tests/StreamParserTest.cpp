@@ -10,8 +10,10 @@
 #include "support/Metrics.h"
 #include "trace/TraceIO.h"
 #include "TestHelpers.h"
+#include "TextParserReference.h"
 #include "TraceCompare.h"
 #include <cstdio>
+#include <optional>
 #include <gtest/gtest.h>
 
 using namespace lima;
@@ -259,6 +261,60 @@ TEST(StreamParserTest, InPlaceScanKeepsLimitsLinesAndOffsets) {
   }
 }
 
+TEST(StreamParserTest, ChargesTheProcessorTableAtProcs) {
+  // The monitor's analyzer keeps per-processor state, so the stream
+  // charges the processor table at 'procs', as a batch parse does.  The
+  // events go on to the analyzer, which does not keep them, so they
+  // are not charged: the cap that holds the tables holds the stream.
+  const std::string Text = "LIMATRACE 1\nprocs 2\nregion 0 ab\n"
+                           "re 0 1.0 0\nrx 0 2.0 0\n";
+  for (size_t Chunk : {size_t(1), size_t(7), Text.size()}) {
+    ParseOptions Options;
+    Options.Limits.MaxAllocBytes = 2 * sizeof(std::vector<Event>) - 1;
+    auto EventsOrErr = parseChunked(Text, Chunk, Options);
+    ASSERT_FALSE(static_cast<bool>(EventsOrErr)) << "chunk " << Chunk;
+    ParseError PE = EventsOrErr.takeError().toParseError();
+    EXPECT_EQ(PE.Code, ErrorCode::LimitExceeded) << "chunk " << Chunk;
+    EXPECT_EQ(PE.Line, 2u) << "chunk " << Chunk;
+    EXPECT_EQ(PE.Offset, 12u) << "chunk " << Chunk;
+    EXPECT_EQ(PE.Msg,
+              "trace line 2: processor table exceeds the allocation cap")
+        << "chunk " << Chunk;
+
+    Options.Limits.MaxAllocBytes =
+        2 * sizeof(std::vector<Event>) + sizeof(std::string);
+    auto Streamed = parseChunked(Text, Chunk, Options);
+    ASSERT_TRUE(static_cast<bool>(Streamed)) << "chunk " << Chunk;
+    EXPECT_EQ(Streamed->size(), 2u) << "chunk " << Chunk;
+  }
+}
+
+TEST(StreamParserTest, ChargesEventsATraceKeeps) {
+  // The same bytes and cap into a Trace, which keeps every event: the
+  // first event trips the cap as event storage.
+  const std::string Text = "LIMATRACE 1\nprocs 2\nregion 0 ab\n"
+                           "re 0 1.0 0\nrx 0 2.0 0\n";
+  ParseOptions Options;
+  Options.Limits.MaxAllocBytes =
+      2 * sizeof(std::vector<Event>) + sizeof(std::string);
+  for (size_t Chunk : {size_t(1), size_t(7), Text.size()}) {
+    StreamParser P(Options);
+    std::optional<Trace> Kept;
+    Error Err = Error::success();
+    for (size_t I = 0; !Err && I < Text.size(); I += Chunk)
+      Err = P.feed(Text.substr(I, Chunk), Kept);
+    if (!Err)
+      Err = P.finish(Kept);
+    ASSERT_TRUE(static_cast<bool>(Err)) << "chunk " << Chunk;
+    ParseError PE = Err.toParseError();
+    EXPECT_EQ(PE.Line, 4u) << "chunk " << Chunk;
+    EXPECT_EQ(PE.Msg, "trace line 4: event storage exceeds the allocation cap")
+        << "chunk " << Chunk;
+    ASSERT_TRUE(Kept.has_value()) << "chunk " << Chunk;
+    EXPECT_EQ(Kept->regionNames(), P.regionNames()) << "chunk " << Chunk;
+  }
+}
+
 TEST(StreamParserTest, DuplicateProcsRejected) {
   StreamParser P;
   std::vector<Event> Events;
@@ -329,7 +385,7 @@ TEST(StreamParserTest, MatchesLegacyParserBitForBit) {
     std::snprintf(Buf, sizeof(Buf), Formats[I % 4], I % 3, T);
     Text += Buf;
   }
-  Trace Reference = cantFail(parseTraceTextLegacy(Text));
+  Trace Reference = cantFail(testutil::parseTraceTextLegacy(Text));
   for (size_t Chunk : {size_t(1), size_t(7), size_t(4096)}) {
     auto EventsOrErr = parseChunked(Text, Chunk);
     ASSERT_TRUE(static_cast<bool>(EventsOrErr)) << "chunk " << Chunk;

@@ -6,9 +6,11 @@
 
 #include "trace/Trace.h"
 #include "support/FileUtils.h"
+#include "trace/BinaryIO.h"
 #include "trace/TraceIO.h"
 #include "TestHelpers.h"
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <gtest/gtest.h>
@@ -433,6 +435,41 @@ TEST(TraceIOTest, SaveLoadRoundTrip) {
   Trace Loaded = cantFail(loadTrace(Path));
   EXPECT_EQ(Loaded.numEvents(), T.numEvents());
   std::remove(Path.c_str());
+}
+
+TEST(TraceIOTest, WidestNameTableParsesInLinearTime) {
+  // Registering and finding a name cost O(1): a header that declares
+  // MaxRegions regions parses in well under the bound, as text and as
+  // LIMB v2, also in the sanitizer builds.  With a linear uniqueness
+  // scan per name, the text parse alone took about 11 s.
+  const uint32_t Regions = ParseLimits().MaxRegions;
+  std::string Text = "LIMATRACE 1\nprocs 2\n";
+  for (uint32_t I = 0; I != Regions; ++I) {
+    std::string Id = std::to_string(I);
+    Text.append("region ").append(Id).append(" r").append(Id).append("\n");
+  }
+  Text += "activity 0 a\nre 0 1.0 0\nab 0 1.0 0\nae 0 2.0 0\nrx 0 2.0 0\n";
+  constexpr double BoundSeconds = 4.0;
+  auto secondsSince = [](std::chrono::steady_clock::time_point Start) {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         Start)
+        .count();
+  };
+
+  auto Start = std::chrono::steady_clock::now();
+  Trace T = cantFail(parseTraceText(Text));
+  EXPECT_LT(secondsSince(Start), BoundSeconds);
+  ASSERT_EQ(T.numRegions(), Regions);
+  EXPECT_EQ(T.findRegion(std::string("r").append(std::to_string(Regions - 1))),
+            Regions - 1);
+  EXPECT_EQ(T.numEvents(), 4u);
+
+  std::string Binary = writeTraceBinary(T);
+  Start = std::chrono::steady_clock::now();
+  Trace FromBinary = cantFail(parseTraceBinary(Binary));
+  EXPECT_LT(secondsSince(Start), BoundSeconds);
+  EXPECT_EQ(FromBinary.regionNames(), T.regionNames());
+  EXPECT_EQ(FromBinary.numEvents(), 4u);
 }
 
 TEST(EventTest, MnemonicsAreStable) {

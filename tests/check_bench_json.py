@@ -18,7 +18,9 @@ checked-in baseline.  Only slowdowns beyond SLOWDOWN_LIMIT (2x) fail —
 shared CI runners jitter far too much for tight thresholds, but a 2x
 regression on the same workload is a real change.  Keys missing from
 either side are skipped, so adding or renaming sections never breaks
-the gate before the baseline is refreshed.
+the gate before the baseline is refreshed; so are sections whose
+baseline is under MIN_COMPARABLE_MS.  Every skipped section is printed
+by name, so a gate that cannot see a leg says so.
 """
 
 import argparse
@@ -218,11 +220,19 @@ def compare(doc, baseline_path):
         fail(f"cannot parse baseline {baseline_path}: {err}")
 
     base_walls = dict(comparable_walls(base))
+    walls = dict(comparable_walls(doc))
     checked = 0
     worst = ("", 0.0)
-    for label, wall in comparable_walls(doc):
+    skipped = [f"{label} (not in this run)"
+               for label in base_walls if label not in walls]
+    for label, wall in walls.items():
         base_wall = base_walls.get(label)
-        if base_wall is None or base_wall < MIN_COMPARABLE_MS:
+        if base_wall is None:
+            skipped.append(f"{label} (not in the baseline)")
+            continue
+        if base_wall < MIN_COMPARABLE_MS:
+            skipped.append(f"{label} (baseline {base_wall:.1f} ms, under "
+                           f"{MIN_COMPARABLE_MS} ms)")
             continue
         ratio = wall / base_wall
         checked += 1
@@ -231,13 +241,15 @@ def compare(doc, baseline_path):
         if ratio > SLOWDOWN_LIMIT:
             fail(f"regression: {label} took {wall:.1f} ms vs baseline "
                  f"{base_wall:.1f} ms ({ratio:.2f}x > {SLOWDOWN_LIMIT}x)")
+    for section in skipped:
+        print(f"check_bench_json: compare: skipped {section}")
     if checked == 0:
         print("check_bench_json: compare: no overlapping sections above "
               f"{MIN_COMPARABLE_MS} ms; baseline likely needs a refresh")
     else:
         print(f"check_bench_json: compare OK ({checked} sections vs "
-              f"{baseline_path}; worst {worst[0]} at {worst[1]:.2f}x, "
-              f"limit {SLOWDOWN_LIMIT}x)")
+              f"{baseline_path}, {len(skipped)} skipped; worst {worst[0]} "
+              f"at {worst[1]:.2f}x, limit {SLOWDOWN_LIMIT}x)")
 
 
 def main():

@@ -7,7 +7,10 @@
 # break per-event rules, lima_analyze and lima_monitor --window 100 must
 # fail strict mode with the same message, and under --lenient report the
 # same dropped count and the same SID_C.  Their lenient totals count
-# each event line once: 15 on the first trace.
+# each event line once: 15 on the first trace.  A slice (--regions on
+# the first, --window on the second) changes neither verdict: lenient
+# lima_analyze logs the same total and dropped count as without it,
+# and strict mode exits 6 with the same message.
 # Usage: lenient_analyses_smoke.sh LIMA_ANALYZE LIMA_MONITOR CORPUS WORK
 set -u
 
@@ -75,6 +78,32 @@ for Name in stray-exit-then-earlier overlapping-activities; do
     'BEGIN { exit !(A != "" && M != "" && \
                     sprintf("%.5f", A) == sprintf("%.5f", M)) }' ||
     fail "$Name: SID_C '$AnalyzeSid' and '$MonitorSid'"
+done
+
+for Case in "stray-exit-then-earlier --regions main" \
+            "overlapping-activities --window 0:10"; do
+  set -- $Case
+  Name="$1"
+  shift
+  Trace="$Corpus/$Name.trace"
+  Out="$Work/$Name.slice"
+  Report='"total":[0-9]*,"dropped":[0-9]*'
+  "$Analyze" --lenient --csv --log-json "$Trace" \
+    > /dev/null 2> "$Out.whole.log"
+  "$Analyze" --lenient --csv --log-json "$@" "$Trace" \
+    > /dev/null 2> "$Out.log"
+  Status=$?
+  [ "$Status" -eq 0 ] || fail "$Name $*: --lenient exited $Status"
+  Whole=$(grep -o "$Report" "$Out.whole.log")
+  Sliced=$(grep -o "$Report" "$Out.log")
+  [ -n "$Whole" ] && [ "$Whole" = "$Sliced" ] ||
+    fail "$Name $*: lenient report '$Sliced', expected '$Whole'"
+  "$Analyze" "$Trace" > /dev/null 2> "$Out.whole.err"
+  "$Analyze" "$@" "$Trace" > /dev/null 2> "$Out.err"
+  Status=$?
+  [ "$Status" -eq 6 ] || fail "$Name $*: strict exited $Status, expected 6"
+  [ "$(tail -n 1 "$Out.err")" = "$(tail -n 1 "$Out.whole.err")" ] ||
+    fail "$Name $*: strict message '$(tail -n 1 "$Out.err")'"
 done
 
 [ "$Failures" -eq 0 ] || exit 1
