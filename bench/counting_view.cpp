@@ -67,7 +67,7 @@ int main() {
   }
   Table.print(OS);
 
-  trace::TraceStats Stats = trace::computeTraceStats(Run.Trace);
+  trace::TraceStats Stats = ExitOnErr(trace::computeTraceStats(Run.Trace));
   OS << "\ntrace totals: " << Stats.TotalMessages << " messages, "
      << Stats.TotalBytes << " bytes\n";
   OS << "\nreading guide: the *count* indices expose the decomposition's "

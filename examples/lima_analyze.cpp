@@ -330,11 +330,11 @@ int main(int Argc, char **Argv) {
       OS << core::renderPatternASCII(Diagram, Cube) << '\n';
 
   if (Parser.getFlag("timeline"))
-    OS << trace::renderTimeline(Trace) << '\n';
+    OS << ExitOnErr(trace::renderTimeline(Trace, {}, Parse.Mode)) << '\n';
 
   if (Parser.getFlag("traffic"))
-    OS << trace::renderCommunicationMatrix(
-              trace::computeTraceStats(Trace, Threads))
+    OS << trace::renderCommunicationMatrix(ExitOnErr(
+              trace::computeTraceStats(Trace, Threads, Parse.Mode)))
        << '\n';
 
   if (Parser.getFlag("phases")) {

@@ -95,19 +95,19 @@ int main(int Argc, char **Argv) {
     std::string File = E.Name + ".limb";
     ExitOnErr(trace::saveTraceBinary(E.Trace, Dir + "/" + File));
 
-    trace::TraceStats Stats = trace::computeTraceStats(E.Trace);
+    trace::TraceStats Stats = ExitOnErr(trace::computeTraceStats(E.Trace));
     auto Cube = ExitOnErr(core::reduceTrace(E.Trace));
     auto Analysis = ExitOnErr(core::analyze(Cube));
     size_t Candidate = Analysis.Regions.MostImbalancedScaled;
     Index.push_back(
         {E.Name, File, std::to_string(E.Trace.numProcs()),
-         std::to_string(Stats.TotalEvents), formatFixed(Stats.Span, 3),
+         std::to_string(E.Trace.numEvents()), formatFixed(Stats.Span, 3),
          std::to_string(Stats.TotalMessages),
          std::to_string(Stats.TotalBytes),
          Cube.regionName(Analysis.Profile.HeaviestRegion),
          Cube.regionName(Candidate),
          formatFixed(Analysis.Regions.ScaledIndex[Candidate], 5)});
-    OS << "archived " << File << " (" << Stats.TotalEvents
+    OS << "archived " << File << " (" << E.Trace.numEvents()
        << " events)\n";
   }
 

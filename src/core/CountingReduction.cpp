@@ -50,12 +50,10 @@ Expected<MeasurementCube> core::reduceTraceCounts(const trace::Trace &T,
                                                   ParseMode Mode) {
   LIMA_STAGE("counting");
   LIMA_SPAN("counting.fold");
-  if (Mode == ParseMode::Strict)
-    if (auto Err = T.validate())
-      return Err;
   if (T.numRegions() == 0)
-    return makeCodedError(ErrorCode::MissingSection,
-                          "trace declares no regions");
+    return trace::verdictBefore(T, Mode,
+                                makeCodedError(ErrorCode::MissingSection,
+                                               "trace declares no regions"));
 
   MeasurementCube Cube(T.regionNames(),
                        {std::string(countingMetricName(Metric))},
@@ -66,6 +64,7 @@ Expected<MeasurementCube> core::reduceTraceCounts(const trace::Trace &T,
                                  : EventKind::MessageRecv,
                  Metric == CountingMetric::BytesSent ||
                      Metric == CountingMetric::BytesReceived};
-  trace::foldTrace(T, Mode, Sink);
+  if (auto Err = trace::foldTrace(T, Mode, Sink))
+    return Err;
   return Cube;
 }

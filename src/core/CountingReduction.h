@@ -47,9 +47,9 @@ std::string_view countingMetricName(CountingMetric Metric);
 /// region, a single pseudo-activity named after the metric, one column
 /// per processor.  Message events are attributed, through the attribution
 /// fold (trace/Fold.h), to the innermost region open on the sending
-/// (receiving) processor; events outside any region are dropped.  Strict
-/// mode validates \p T first.  A trace without regions fails with
-/// MissingSection.
+/// (receiving) processor; events outside any region are dropped.  In
+/// strict mode the fold's walk fails with trace::Trace::validate's error,
+/// which comes before a trace without regions fails with MissingSection.
 ///
 /// The resulting cube's "times" are counts; the region/activity views
 /// and pattern diagrams operate on it unchanged because the methodology

@@ -55,15 +55,12 @@ Expected<PhaseResult> core::analyzePhases(const trace::Trace &T,
                                           ParseMode Mode) {
   LIMA_STAGE("phases");
   LIMA_SPAN("phases.fold");
-  if (Mode == ParseMode::Strict)
-    if (auto Err = T.validate())
-      return Err;
-
   size_t N = T.numRegions();
   size_t K = T.numActivities();
   unsigned P = T.numProcs();
   InstanceSink Sink(N, K, P);
-  trace::foldTrace(T, Mode, Sink);
+  if (auto Err = trace::foldTrace(T, Mode, Sink))
+    return Err;
 
   // All processors must agree on the instance count of each region they
   // execute at all.

@@ -6,7 +6,6 @@
 
 #include "core/TraceReduction.h"
 #include "support/Metrics.h"
-#include "support/Parallel.h"
 #include "support/Telemetry.h"
 #include "trace/Fold.h"
 #include <algorithm>
@@ -16,9 +15,12 @@ using namespace lima::core;
 
 namespace {
 
-/// The fold's sink: intervals, and gaps when asked for, into the cube.
+/// The fold's sink: intervals, and gaps when asked for, into the cube, and
+/// each processor's final clock into its span slot.
 struct CubeSink : trace::FoldSink {
+  static constexpr const char *ShardSpan = "reduce.shard";
   MeasurementCube &Cube;
+  std::vector<double> &Spans;
   bool WantsGaps;
   uint32_t GapActivity;
 
@@ -34,20 +36,13 @@ struct CubeSink : trace::FoldSink {
     Cube.accumulate(State.innermost().Region, GapActivity, State.proc(),
                     End - Begin);
   }
+  void end(const trace::FoldState &State) {
+    Spans[State.proc()] = State.clock();
+  }
 };
 
-} // namespace
-
-Expected<MeasurementCube> core::reduceTrace(const trace::Trace &T,
-                                            const ReductionOptions &Options) {
-  LIMA_STAGE("reduce");
-  // Lenient mode exists to digest traces that validation would reject;
-  // the fold drops or tolerates what it rejects, event by event.
-  if (Options.Mode == ParseMode::Strict) {
-    LIMA_SPAN("reduce.validate");
-    if (auto Err = T.validate(Options.Threads))
-      return Err;
-  }
+/// Why no cube can hold \p T under \p Options, if none can.
+Error shapeError(const trace::Trace &T, const ReductionOptions &Options) {
   if (T.numRegions() == 0)
     return makeCodedError(ErrorCode::MissingSection,
                           "trace declares no regions");
@@ -58,38 +53,32 @@ Expected<MeasurementCube> core::reduceTrace(const trace::Trace &T,
     return makeCodedError(ErrorCode::ValueOutOfRange,
                           "gap activity id %u out of range",
                           Options.GapActivity);
+  return Error::success();
+}
 
+} // namespace
+
+Expected<MeasurementCube> core::reduceTrace(const trace::Trace &T,
+                                            const ReductionOptions &Options) {
+  LIMA_STAGE("reduce");
+  if (Error Shape = shapeError(T, Options))
+    return trace::verdictBefore(T, Options.Mode, std::move(Shape),
+                                Options.Threads);
+
+  // One walk, sharded per processor: in strict mode it is validation,
+  // and every worker folds its own event stream into the cube's disjoint
+  // processor column and its own span and report slot.  The slots merge
+  // in processor order and no floating-point sum crosses a processor
+  // boundary, so the result (cube AND dropped-record counts) is
+  // bit-identical at any thread count.
   MeasurementCube Cube(T.regionNames(), T.activityNames(), T.numProcs());
-
-  // Shard per processor: every worker folds its own event stream into
-  // the cube's disjoint processor column and its own span/report slot,
-  // then the slots are merged in processor order.  No cell is written by
-  // two workers, no floating-point sum crosses a processor boundary and
-  // reports merge in a fixed order, so the result — cube AND
-  // dropped-record counts — is bit-identical at any thread count.  The
-  // strict fold follows validate and checks nothing again.
   std::vector<double> Spans(T.numProcs(), 0.0);
-  std::vector<ParseReport> Reports(T.numProcs());
-  parallelFor(T.numProcs(), Options.Threads, [&](size_t Proc) {
-    LIMA_SPAN("reduce.shard");
-    const trace::Trace::EventsRef Stream = T.events(Proc);
-    LIMA_COUNTER_ADD("reduce.events", Stream.size());
-    LIMA_METRIC_COUNT("lima.reduce.events_total", Stream.size());
-    Reports[Proc].TotalRecords = Stream.size();
-    trace::FoldState State(static_cast<unsigned>(Proc), Options.Mode,
-                           trace::Trace::BackwardTimeTolerance,
-                           &Reports[Proc]);
-    CubeSink Sink{{}, Cube, Options.AttributeGaps, Options.GapActivity};
-    if (Options.Mode == ParseMode::Lenient)
-      trace::foldStream(State, Sink, Stream);
-    else
-      trace::foldStream<false>(State, Sink, Stream);
-    Spans[Proc] = State.clock();
-  });
-
-  if (Options.Report)
-    for (const ParseReport &Shard : Reports)
-      Options.Report->merge(Shard);
+  CubeSink Sink{{}, Cube, Spans, Options.AttributeGaps, Options.GapActivity};
+  if (Error Err = trace::foldTrace(T, Options.Mode, Sink, Options.Threads,
+                                   Options.Report))
+    return Err;
+  LIMA_COUNTER_ADD("reduce.events", T.numEvents());
+  LIMA_METRIC_COUNT("lima.reduce.events_total", T.numEvents());
   double Span = 0.0;
   for (double ProcSpan : Spans)
     Span = std::max(Span, ProcSpan);

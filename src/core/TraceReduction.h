@@ -34,15 +34,17 @@ struct ReductionOptions {
   /// time): the program's wall-clock duration, including uninstrumented
   /// stretches between regions.
   bool ProgramTimeFromSpan = true;
-  /// Worker threads for strict-mode validation and the per-processor
-  /// reduction shards (0 = all hardware threads, 1 = serial).  Results
-  /// are bit-identical at any setting: each processor's stream is
-  /// checked into its own slot and folds into disjoint cube cells.
+  /// Worker threads for the one walk over the trace, one processor per
+  /// shard (0 = all hardware threads, 1 = serial); in strict mode that
+  /// walk is also the validation.  Results are bit-identical at any
+  /// setting: each processor's stream is checked into its own slot and
+  /// folds into disjoint cube cells.
   unsigned Threads = 0;
-  /// Strict: the trace must pass full-trace validation.  Lenient: the
-  /// fold drops what validation would reject, counted into Report, and
-  /// keeps the surrounding structure intact — one bad event no longer
-  /// kills a million-event analysis.
+  /// Strict: the walk applies every rule of trace::Trace::validate and
+  /// fails with its error.  Lenient: the fold drops what validation
+  /// would reject, counted into Report, and keeps the surrounding
+  /// structure intact — one bad event no longer kills a million-event
+  /// analysis.
   ParseMode Mode = ParseMode::Strict;
   /// Receives dropped-event counts in lenient mode.  Per-processor
   /// shard reports are merged in processor order, so counts are
@@ -51,10 +53,11 @@ struct ReductionOptions {
 };
 
 /// Reduces \p T to a cube with one region per trace region, one activity
-/// per trace activity and one column per processor, through the
-/// attribution fold (trace/Fold.h) per processor.  Strict mode runs
-/// trace::Trace::validate(Options.Threads) first and propagates its
-/// errors (see ReductionOptions::Mode).
+/// per trace activity and one column per processor, in one
+/// trace::foldTrace walk (trace/Fold.h).  In strict mode that walk fails
+/// with trace::Trace::validate's error, which comes before the errors of
+/// a trace no cube can hold (no regions, no activities, a gap activity
+/// out of range).
 Expected<MeasurementCube> reduceTrace(const trace::Trace &T,
                                       const ReductionOptions &Options = {});
 

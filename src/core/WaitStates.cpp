@@ -75,20 +75,21 @@ Expected<WaitStateReport> core::analyzeWaitStates(const trace::Trace &T,
                                                   ParseMode Mode) {
   LIMA_STAGE("waitstates");
   LIMA_SPAN("waitstates.fold");
-  if (Mode == ParseMode::Strict)
-    if (auto Err = T.validate())
-      return Err;
+  SendSink Sent;
+  if (auto Err = trace::foldTrace(T, Mode, Sent))
+    return Err;
   if (T.numRegions() == 0)
     return makeCodedError(ErrorCode::MissingSection,
                           "trace declares no regions");
-  SendSink Sent;
-  trace::foldTrace(T, Mode, Sent);
 
   WaitStateReport Report;
   Report.LateSender = MeasurementCube(
       T.regionNames(), {"late-sender"}, T.numProcs());
+  // The send fold judged the trace.  One it accepted strictly loses no
+  // event to the lenient fold either, so the receive fold checks and
+  // tallies nothing again.
   ReceiveSink Received{{}, Sent.Sends, Report, {}};
-  trace::foldTrace(T, Mode, Received);
+  cantFail(trace::foldTrace(T, ParseMode::Lenient, Received));
 
   for (const auto &[Key, Channel] : Received.Channels)
     Report.Channels.push_back(Channel);

@@ -59,8 +59,9 @@ struct WaitStateReport {
 };
 
 /// Runs the late-sender analysis on \p T through the attribution fold
-/// (trace/Fold.h).  Strict mode validates \p T first; lenient mode skips
-/// a receive with no send left to pair with.
+/// (trace/Fold.h): a fold over the sends, whose walk fails in strict mode
+/// with trace::Trace::validate's error, then one over the receives.
+/// Lenient mode skips a receive with no send left to pair with.
 Expected<WaitStateReport>
 analyzeWaitStates(const trace::Trace &T, ParseMode Mode = ParseMode::Strict);
 

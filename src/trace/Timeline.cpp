@@ -6,26 +6,47 @@
 
 #include "trace/Timeline.h"
 #include "support/Format.h"
+#include "trace/Fold.h"
 #include <algorithm>
 #include <cassert>
+#include <tuple>
 #include <vector>
 
 using namespace lima;
 using namespace lima::trace;
 
-std::string trace::renderTimeline(const Trace &T,
-                                  const TimelineOptions &Options) {
+namespace {
+
+/// The fold's sink: each processor's (begin, end, activity) intervals in
+/// its row, bucketed once the span is known, and the span.
+struct IntervalSink : FoldSink {
+  std::vector<std::vector<std::tuple<double, double, uint32_t>>> Rows;
+  double Span = 0.0;
+
+  bool interval(const FoldState &State, uint32_t Activity, double Begin,
+                double End) {
+    Rows[State.proc()].emplace_back(Begin, End, Activity);
+    return true;
+  }
+  void end(const FoldState &State) { Span = std::max(Span, State.clock()); }
+};
+
+} // namespace
+
+Expected<std::string> trace::renderTimeline(const Trace &T,
+                                            const TimelineOptions &Options,
+                                            ParseMode Mode) {
   assert(Options.Width > 0 && "timeline needs at least one bucket");
   assert(!Options.ActivityChars.empty() && "need activity characters");
 
-  // Find the span.
-  double Span = 0.0;
-  for (unsigned Proc = 0; Proc != T.numProcs(); ++Proc)
-    for (const Event &E : T.events(Proc))
-      Span = std::max(Span, E.Time);
+  IntervalSink Sink;
+  Sink.Rows.resize(T.numProcs());
+  if (Error Err = foldTrace(T, Mode, Sink))
+    return Err;
+  double Span = Sink.Span;
   std::string Out;
   if (Span <= 0.0)
-    return "(empty trace)\n";
+    return std::string("(empty trace)\n");
 
   double BucketWidth = Span / Options.Width;
   auto activityChar = [&](uint32_t Activity) {
@@ -40,33 +61,20 @@ std::string trace::renderTimeline(const Trace &T,
     // Coverage[bucket][activity]: seconds of that activity in the bucket.
     std::vector<std::vector<double>> Coverage(
         Options.Width, std::vector<double>(T.numActivities(), 0.0));
-    double Begin = 0.0;
-    bool Open = false;
-    uint32_t Current = 0;
-    auto deposit = [&](double From, double To, uint32_t Activity) {
-      if (To <= From)
-        return;
+    for (auto [Begin, End, Activity] : Sink.Rows[Proc]) {
+      if (End <= Begin)
+        continue;
       unsigned FirstBucket = std::min(
-          Options.Width - 1, static_cast<unsigned>(From / BucketWidth));
+          Options.Width - 1, static_cast<unsigned>(Begin / BucketWidth));
       unsigned LastBucket = std::min(
-          Options.Width - 1, static_cast<unsigned>(To / BucketWidth));
+          Options.Width - 1, static_cast<unsigned>(End / BucketWidth));
       for (unsigned B = FirstBucket; B <= LastBucket; ++B) {
         double BucketBegin = B * BucketWidth;
         double BucketEnd = BucketBegin + BucketWidth;
         double Overlap =
-            std::min(To, BucketEnd) - std::max(From, BucketBegin);
+            std::min(End, BucketEnd) - std::max(Begin, BucketBegin);
         if (Overlap > 0.0)
           Coverage[B][Activity] += Overlap;
-      }
-    };
-    for (const Event &E : T.events(Proc)) {
-      if (E.Kind == EventKind::ActivityBegin) {
-        Begin = E.Time;
-        Current = E.Id;
-        Open = true;
-      } else if (E.Kind == EventKind::ActivityEnd && Open) {
-        deposit(Begin, E.Time, Current);
-        Open = false;
       }
     }
 

@@ -16,6 +16,8 @@
 #ifndef LIMA_TRACE_TIMELINE_H
 #define LIMA_TRACE_TIMELINE_H
 
+#include "support/Error.h"
+#include "support/ParseLimits.h"
 #include "trace/Trace.h"
 #include <string>
 
@@ -34,10 +36,14 @@ struct TimelineOptions {
 };
 
 /// Renders one character row per processor plus a legend and a time
-/// axis.  Each bucket shows the dominant activity of that time slice
-/// (IdleChar when no activity covers a majority... strictly: the
-/// activity covering the largest share, IdleChar when none overlaps).
-std::string renderTimeline(const Trace &T, const TimelineOptions &Options = {});
+/// axis.  Each bucket shows the activity covering the largest share of
+/// that time slice, IdleChar when none overlaps it.  The intervals are
+/// those trace::foldTrace (trace/Fold.h) reports: strict mode fails with
+/// trace::Trace::validate's error, and lenient mode paints no interval
+/// the fold drops.
+Expected<std::string> renderTimeline(const Trace &T,
+                                     const TimelineOptions &Options = {},
+                                     ParseMode Mode = ParseMode::Strict);
 
 } // namespace trace
 } // namespace lima

@@ -5,15 +5,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "trace/Trace.h"
-#include "support/Compiler.h"
-#include "support/Parallel.h"
 #include "trace/Fold.h"
-#include <algorithm>
 #include <cassert>
-#include <cmath>
-#include <optional>
-#include <tuple>
-#include <unordered_map>
 
 using namespace lima;
 using namespace lima::trace;
@@ -110,131 +103,7 @@ size_t Trace::numEvents() const {
   return Total;
 }
 
-namespace {
-
-/// One side of a message as seen from the processor that logged it: the
-/// peer (receiver of a send, sender of a receive) and the byte count.
-struct PeerBytes {
-  uint32_t Peer;
-  uint64_t Bytes;
-  bool operator==(const PeerBytes &O) const {
-    return Peer == O.Peer && Bytes == O.Bytes;
-  }
-};
-
-struct PeerBytesHash {
-  size_t operator()(const PeerBytes &K) const {
-    return std::hash<uint64_t>()(K.Bytes * 0x9E3779B97F4A7C15ull + K.Peer);
-  }
-};
-
-/// Message events of one processor, counted per (peer, bytes).
-using MessageTally = std::unordered_map<PeerBytes, int64_t, PeerBytesHash>;
-
-/// What validation learns from one processor's stream.  As the strict
-/// fold's sink it tallies the processor's messages.
-struct ProcCheck : FoldSink {
-  std::optional<ParseError> Err; ///< First structural error.
-  MessageTally Sent;             ///< (receiver, bytes) -> sends.
-  MessageTally Received;         ///< (sender, bytes) -> receives.
-
-  void message(const FoldState &, EventKind Kind, uint32_t Peer,
-               uint64_t Bytes, double) {
-    ++(Kind == EventKind::MessageSend ? Sent : Received)[{Peer, Bytes}];
-  }
-};
-
-/// The smallest (sender, receiver, bytes) key whose sends and receives
-/// disagree, with its balance (sends minus receives).
-struct Unmatched {
-  bool Found = false;
-  std::tuple<uint32_t, uint32_t, uint64_t> Key;
-  int64_t Balance = 0;
-
-  void keepSmaller(const Unmatched &O) {
-    if (O.Found && (!Found || O.Key < Key))
-      *this = O;
-  }
-};
-
-/// Balances every message key that processor \p Proc owns into \p Out:
-/// the keys it sent, and the keys it received that its sender never
-/// sent.  Every key has exactly one owner, so the minimum over all
-/// processors is the smallest unbalanced key of the trace.
-void findUnmatched(const std::vector<ProcCheck> &Checks, uint32_t Proc,
-                   Unmatched &Out) {
-  // A peer outside the trace can neither send nor receive.
-  auto countOf = [&](uint32_t Owner, const MessageTally ProcCheck::*Side,
-                     PeerBytes Key) -> int64_t {
-    if (Owner >= Checks.size())
-      return 0;
-    const MessageTally &Tally = Checks[Owner].*Side;
-    auto It = Tally.find(Key);
-    return It == Tally.end() ? 0 : It->second;
-  };
-  for (const auto &[Key, Sends] : Checks[Proc].Sent) {
-    int64_t Balance =
-        Sends - countOf(Key.Peer, &ProcCheck::Received, {Proc, Key.Bytes});
-    if (Balance != 0)
-      Out.keepSmaller({true, {Proc, Key.Peer, Key.Bytes}, Balance});
-  }
-  for (const auto &[Key, Receives] : Checks[Proc].Received)
-    if (countOf(Key.Peer, &ProcCheck::Sent, {Proc, Key.Bytes}) == 0)
-      Out.keepSmaller({true, {Key.Peer, Proc, Key.Bytes}, -Receives});
-}
-
-} // namespace
-
 Error Trace::validate(unsigned Threads) const {
-  // Each processor checks its own stream into its own slot; the lowest
-  // failing processor's first error wins, as in a processor-order walk.
-  // The strict fold owns every per-event rule but the time range.
-  std::vector<ProcCheck> Checks(numProcs());
-  parallelFor(numProcs(), Threads, [&](size_t P) {
-    unsigned Proc = static_cast<unsigned>(P);
-    ProcCheck &C = Checks[Proc];
-    const EventsRef Stream = events(Proc);
-    FoldState State(Proc, ParseMode::Strict, BackwardTimeTolerance);
-    for (size_t I = 0; I != Stream.size(); ++I) {
-      const Event E = Stream[I];
-      if (!std::isfinite(E.Time) || E.Time < 0.0) {
-        C.Err = makeCodedError(ErrorCode::ValueOutOfRange,
-                               "proc %u event %zu: time %.9f is not finite "
-                               "and non-negative",
-                               Proc, I, E.Time)
-                    .toParseError();
-        return;
-      }
-      if (State.step(C, E.Time, E.Kind, E.Id, E.Bytes) == FoldStep::Failed) {
-        C.Err = State.takeError();
-        return;
-      }
-    }
-    if (State.depth() != 0 || State.activityOpen())
-      C.Err = makeCodedError(ErrorCode::StructuralError,
-                             "proc %u: %s left open at end of trace", Proc,
-                             State.depth() != 0 ? "region" : "activity")
-                  .toParseError();
-  });
-  for (ProcCheck &C : Checks)
-    if (C.Err)
-      return Error::fromParse(std::move(*C.Err));
-
-  // Message matching: sends and receives of each (sender, receiver,
-  // bytes) key must agree.  Taking the minimum is order-insensitive,
-  // so the reported key is the same at any thread count.
-  Unmatched First = parallelReduce<Unmatched>(
-      numProcs(), Threads, Unmatched(),
-      [&](Unmatched &U, size_t Proc) {
-        findUnmatched(Checks, static_cast<uint32_t>(Proc), U);
-      },
-      [](Unmatched &Into, Unmatched &From) { Into.keepSmaller(From); });
-  if (!First.Found)
-    return Error::success();
-  auto [From, To, Bytes] = First.Key;
-  return makeCodedError(ErrorCode::StructuralError,
-                        "unmatched message %u -> %u (%llu bytes): "
-                        "balance %lld",
-                        From, To, static_cast<unsigned long long>(Bytes),
-                        static_cast<long long>(First.Balance));
+  FoldSink Rules;
+  return foldTrace(*this, ParseMode::Strict, Rules, Threads);
 }

@@ -266,12 +266,14 @@ public:
   /// Total number of events across all processors.
   size_t numEvents() const;
 
-  /// Structural validation: the strict attribution fold (trace/Fold.h)
-  /// over each processor's finite, non-negative times, which checks time
-  /// order (up to BackwardTimeTolerance), region nesting and activity
-  /// brackets; nothing left open at the end of a stream; and every
-  /// MessageSend matched by a MessageRecv on the peer with the same byte
-  /// count, and vice versa.
+  /// Structural validation: the strict trace::foldTrace walk
+  /// (trace/Fold.h) with a sink that hears nothing.  It checks that times
+  /// are finite, non-negative and in order (up to BackwardTimeTolerance),
+  /// region nesting and activity brackets; nothing left open at the end
+  /// of a stream; and every MessageSend matched by a MessageRecv on the
+  /// peer with the same byte count, and vice versa.  Every strict
+  /// analysis makes the same walk with its own sink, so none needs this
+  /// first.
   ///
   /// Processors are checked concurrently on \p Threads threads (0 = all
   /// hardware threads, 1 = serially on the calling thread).  The error is

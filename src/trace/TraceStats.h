@@ -5,10 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Descriptive statistics computed directly on an event trace: event
-/// counts by kind, per-processor activity totals, the point-to-point
-/// communication matrix (messages and bytes between every pair of
-/// processors) and span information.  These are the raw facts a
+/// Descriptive statistics computed directly on an event trace: the
+/// point-to-point communication matrix (messages and bytes between every
+/// pair of processors) and the span.  These are the raw facts a
 /// performance analyst inspects before the imbalance methodology runs.
 ///
 //===----------------------------------------------------------------------===//
@@ -16,6 +15,8 @@
 #ifndef LIMA_TRACE_TRACESTATS_H
 #define LIMA_TRACE_TRACESTATS_H
 
+#include "support/Error.h"
+#include "support/ParseLimits.h"
 #include "trace/Trace.h"
 #include <cstdint>
 #include <string>
@@ -32,21 +33,13 @@ struct PairTraffic {
 
 /// Aggregated statistics of one trace.
 struct TraceStats {
-  /// Number of events of each EventKind, indexed by the enum value.
-  std::vector<uint64_t> EventCounts;
-  /// Total events.
-  uint64_t TotalEvents = 0;
-  /// Largest event time (the program span).
+  /// Latest event time (the program span).
   double Span = 0.0;
   /// [From][To] traffic of MessageSend events.
   std::vector<std::vector<PairTraffic>> Traffic;
   /// Total messages and bytes sent.
   uint64_t TotalMessages = 0;
   uint64_t TotalBytes = 0;
-  /// Per-processor count of region instances executed.
-  std::vector<uint64_t> RegionInstances;
-  /// Per-processor busy time (sum of activity intervals).
-  std::vector<double> BusyTime;
 
   /// Messages sent by \p From to \p To.
   const PairTraffic &traffic(unsigned From, unsigned To) const {
@@ -54,13 +47,15 @@ struct TraceStats {
   }
 };
 
-/// Computes the statistics of \p T in one pass.  The trace need not be
-/// validated first; unbalanced brackets simply truncate the affected
-/// intervals.  Processor streams are sharded over \p Threads workers
-/// (0 = all hardware threads, 1 = serial); per-processor rows are
-/// written disjointly and the scalar totals are integer sums / maxima,
-/// so the result is bit-identical at any thread count.
-TraceStats computeTraceStats(const Trace &T, unsigned Threads = 0);
+/// Computes the statistics of \p T as a sink of trace::foldTrace
+/// (trace/Fold.h), so they count what the fold keeps: strict mode fails
+/// with trace::Trace::validate's error, and lenient mode leaves out the
+/// sends the fold drops.  Processor streams are sharded over \p Threads
+/// workers (0 = all hardware threads, 1 = serial); each writes only its
+/// own traffic row and span, and the totals are integer sums, so the
+/// result is bit-identical at any thread count.
+Expected<TraceStats> computeTraceStats(const Trace &T, unsigned Threads = 0,
+                                       ParseMode Mode = ParseMode::Strict);
 
 /// Renders the communication matrix as an aligned text table
 /// ("messages/bytes" cells; "-" for idle pairs).

@@ -11,7 +11,11 @@
 #include "cluster/Silhouette.h"
 #include "support/RNG.h"
 #include <algorithm>
+#include <chrono>
+#include <cmath>
+#include <cstring>
 #include <gtest/gtest.h>
+#include <limits>
 #include <set>
 #include <string>
 
@@ -265,6 +269,70 @@ TEST(SilhouetteTest, SingleClusterIsZeroOverall) {
   std::vector<std::vector<double>> Points = {{0.0}, {1.0}, {2.0}};
   std::vector<size_t> Assignments = {0, 0, 0};
   EXPECT_DOUBLE_EQ(silhouetteScore(Points, Assignments), 0.0);
+}
+
+TEST(SilhouetteTest, DuplicatePointsScoreAsEveryPairWould) {
+  // Equal points are scored once per cluster; every value must still
+  // equal, bit for bit, what comparing every pair gives.
+  RNG Rng(17);
+  std::vector<std::vector<double>> Points;
+  std::vector<size_t> Assignments;
+  for (size_t I = 0; I != 120; ++I) {
+    Points.push_back({static_cast<double>(Rng.uniformInt(4)),
+                      0.5 * static_cast<double>(Rng.uniformInt(3))});
+    Assignments.push_back(Rng.uniformInt(3));
+  }
+  Points.push_back({std::numeric_limits<double>::infinity(), 0.0});
+  Assignments.push_back(0);
+  Points.push_back({std::numeric_limits<double>::infinity(), 0.0});
+  Assignments.push_back(0);
+  for (Metric M : {Metric::Euclidean, Metric::Manhattan}) {
+    std::vector<double> Values = silhouetteValues(Points, Assignments, M);
+    size_t N = Points.size();
+    for (size_t P = 0; P != N; ++P) {
+      std::vector<double> Sum(3, 0.0);
+      std::vector<size_t> Size(3, 0);
+      for (size_t Q = 0; Q != N; ++Q) {
+        ++Size[Assignments[Q]];
+        if (Q != P)
+          Sum[Assignments[Q]] += distance(M, Points[P], Points[Q]);
+      }
+      size_t Own = Assignments[P];
+      double A = Sum[Own] / static_cast<double>(Size[Own] - 1);
+      double B = std::numeric_limits<double>::infinity();
+      for (size_t C = 0; C != 3; ++C)
+        if (C != Own)
+          B = std::min(B, Sum[C] / static_cast<double>(Size[C]));
+      double Expected = 0.0;
+      if (std::isfinite(B) && std::max(A, B) > 0.0)
+        Expected = (B - A) / std::max(A, B);
+      EXPECT_EQ(std::memcmp(&Values[P], &Expected, sizeof(double)), 0)
+          << "point " << P << ": " << Values[P] << " vs " << Expected;
+    }
+  }
+}
+
+TEST(SilhouetteTest, WideDuplicateInputScoresInLinearTime) {
+  // Region clustering of a trace that declares 65,536 regions, one of
+  // them with time: 65,535 equal points and one apart.  Scored once per
+  // distinct point this takes milliseconds, also in the sanitizer
+  // builds; comparing every pair took about half a minute.
+  constexpr size_t N = 65536;
+  std::vector<std::vector<double>> Points(N, {0.0, 0.0, 0.0, 0.0});
+  Points[7] = {1.0, 0.5, 0.0, 0.0};
+  std::vector<size_t> Assignments(N, 0);
+  Assignments[7] = 1;
+  constexpr double BoundSeconds = 4.0;
+  auto Start = std::chrono::steady_clock::now();
+  std::vector<double> Values = silhouetteValues(Points, Assignments);
+  double Seconds = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - Start)
+                       .count();
+  EXPECT_LT(Seconds, BoundSeconds);
+  ASSERT_EQ(Values.size(), N);
+  EXPECT_EQ(Values[7], 0.0); // A singleton.
+  EXPECT_EQ(std::count(Values.begin(), Values.end(), 1.0),
+            static_cast<std::ptrdiff_t>(N - 1));
 }
 
 //===----------------------------------------------------------------------===//

@@ -100,7 +100,7 @@ TEST(CountingTest, CfdMessageCountsMatchTraceStats) {
   auto Run = cantFail(cfd::runCfd(Config));
   auto Cube = cantFail(
       reduceTraceCounts(Run.Trace, CountingMetric::MessagesSent));
-  trace::TraceStats Stats = trace::computeTraceStats(Run.Trace);
+  trace::TraceStats Stats = cantFail(trace::computeTraceStats(Run.Trace));
   // Region-attributed counts must sum to the trace's total sends.
   double Total = 0.0;
   for (size_t I = 0; I != Cube.numRegions(); ++I)

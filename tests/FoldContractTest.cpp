@@ -6,13 +6,15 @@
 //
 // Every trace analysis runs the attribution fold of trace/Fold.h, so
 // they must judge a trace alike.  Over the text fuzz corpus, in strict
-// mode: Trace::validate, reduceTrace, reduceTraceCounts, analyzePhases
-// and analyzeWaitStates fail with the same error or none fails
-// structurally, and a one-window WindowedAnalyzer fails with validate's
-// message whenever that is a per-event one.  In lenient mode no analysis
-// fails structurally, and the one-window cube and drop report equal
-// reduceTrace's bit for bit.  The remaining tests pin what lenient mode
-// keeps of the strict-only rules and the event numbers the windowed
+// mode: Trace::validate, reduceTrace, reduceTraceCounts, analyzePhases,
+// analyzeWaitStates, computeTraceStats and renderTimeline fail with the
+// same error or none fails structurally, and a one-window
+// WindowedAnalyzer fails with validate's message whenever that is a
+// per-event one.  In lenient mode no analysis fails structurally, the
+// one-window cube and drop report equal reduceTrace's bit for bit, and
+// the traffic totals count the sends the fold keeps.  The remaining
+// tests pin what lenient mode keeps of the strict-only rules, of
+// out-of-order sends and activities, and the event numbers the windowed
 // analyzer prints for interleaved processors.
 //
 //===----------------------------------------------------------------------===//
@@ -23,7 +25,10 @@
 #include "core/WaitStates.h"
 #include "core/WindowedAnalysis.h"
 #include "support/FileUtils.h"
+#include "trace/Fold.h"
+#include "trace/Timeline.h"
 #include "trace/TraceIO.h"
+#include "trace/TraceStats.h"
 #include "TestHelpers.h"
 #include <algorithm>
 #include <cstring>
@@ -64,6 +69,30 @@ bool sameBits(double A, double B) {
   return std::memcmp(&A, &B, sizeof(double)) == 0;
 }
 
+/// A fold sink that counts the sends the fold reports.
+struct SendCount : trace::FoldSink {
+  uint64_t Messages = 0;
+  uint64_t Bytes = 0;
+
+  void message(const trace::FoldState &, EventKind Kind, uint32_t,
+               uint64_t Size, double) {
+    if (Kind == EventKind::MessageSend) {
+      ++Messages;
+      Bytes += Size;
+    }
+  }
+};
+
+/// The lenient parse of corpus trace \p Name.
+trace::Trace corpusTrace(const std::string &Name) {
+  std::filesystem::path File = std::filesystem::path(LIMA_FUZZ_CORPUS_DIR) /
+                               "fuzz_trace_text" / (Name + ".trace");
+  ParseOptions Options;
+  Options.Mode = ParseMode::Lenient;
+  return cantFail(
+      trace::parseTraceText(cantFail(readFile(File.string())), Options));
+}
+
 void checkStrict(const trace::Trace &T, const std::string &Name) {
   Error Valid = T.validate();
   bool Invalid = static_cast<bool>(Valid);
@@ -80,6 +109,9 @@ void checkStrict(const trace::Trace &T, const std::string &Name) {
         << Name;
     EXPECT_EQ(testutil::messageOf(analyzePhases(T)), Msg) << Name;
     EXPECT_EQ(testutil::messageOf(analyzeWaitStates(T)), Msg) << Name;
+    EXPECT_EQ(testutil::messageOf(trace::computeTraceStats(T, 1)), Msg)
+        << Name;
+    EXPECT_EQ(testutil::messageOf(trace::renderTimeline(T)), Msg) << Name;
   } else {
     EXPECT_FALSE(failsStructurally(reduceTrace(T, Reduction))) << Name;
     EXPECT_FALSE(failsStructurally(
@@ -87,6 +119,8 @@ void checkStrict(const trace::Trace &T, const std::string &Name) {
         << Name;
     EXPECT_FALSE(failsStructurally(analyzePhases(T))) << Name;
     EXPECT_FALSE(failsStructurally(analyzeWaitStates(T))) << Name;
+    EXPECT_FALSE(failsStructurally(trace::computeTraceStats(T, 1))) << Name;
+    EXPECT_FALSE(failsStructurally(trace::renderTimeline(T))) << Name;
   }
   // Only the fold's per-event rules reach a followed stream; message
   // balance and what is left open at the end are whole-trace rules.
@@ -112,6 +146,16 @@ void checkLenient(const trace::Trace &T, const std::string &Name) {
       << Name;
   EXPECT_FALSE(failsStructurally(analyzeWaitStates(T, ParseMode::Lenient)))
       << Name;
+  EXPECT_FALSE(testutil::failed(trace::renderTimeline(
+      T, {}, ParseMode::Lenient)))
+      << Name;
+  Expected<trace::TraceStats> Stats =
+      trace::computeTraceStats(T, 1, ParseMode::Lenient);
+  ASSERT_TRUE(static_cast<bool>(Stats)) << Name;
+  SendCount Kept;
+  cantFail(trace::foldTrace(T, ParseMode::Lenient, Kept));
+  EXPECT_EQ(Stats->TotalMessages, Kept.Messages) << Name;
+  EXPECT_EQ(Stats->TotalBytes, Kept.Bytes) << Name;
   if (!Cube) {
     EXPECT_FALSE(failsStructurally(std::move(Cube))) << Name;
     return;
@@ -199,6 +243,34 @@ TEST(FoldContractTest, LenientKeepsTheAttributionOfStrictOnlyRules) {
   ASSERT_EQ(Report.Samples.size(), 1u);
   EXPECT_EQ(Report.Samples[0].Msg,
             "proc 0 event 10: activity ends outside any region");
+}
+
+TEST(FoldContractTest, LenientTrafficCountsOnlyTheSendsTheFoldKeeps) {
+  // p1's second send steps back in time, so the lenient fold drops it.
+  trace::Trace T = corpusTrace("send-steps-back");
+  EXPECT_EQ(testutil::messageOf(trace::computeTraceStats(T)),
+            "proc 0 event 4: time goes backwards (0.700000000 after "
+            "1.000000000)");
+  trace::TraceStats Stats =
+      cantFail(trace::computeTraceStats(T, 1, ParseMode::Lenient));
+  EXPECT_EQ(Stats.traffic(0, 1).Messages, 1u);
+  EXPECT_EQ(Stats.traffic(0, 1).Bytes, 100u);
+  EXPECT_EQ(Stats.TotalMessages, 1u);
+  EXPECT_EQ(Stats.TotalBytes, 100u);
+}
+
+TEST(FoldContractTest, LenientTimelinePaintsOnlyTheIntervalsTheFoldKeeps) {
+  // The p2p activity begins back in time: the lenient fold drops its
+  // begin and then its end, so no p2p time reaches the timeline.
+  trace::Trace T = corpusTrace("activity-steps-back");
+  EXPECT_EQ(testutil::messageOf(trace::renderTimeline(T)),
+            "proc 0 event 3: time goes backwards (0.200000000 after "
+            "1.000000000)");
+  std::string Art =
+      cantFail(trace::renderTimeline(T, {}, ParseMode::Lenient));
+  std::string Row = Art.substr(0, Art.find('\n'));
+  ASSERT_EQ(Row.rfind("p1 |c", 0), 0u) << Art;
+  EXPECT_EQ(Row.find('p', 1), std::string::npos) << Art;
 }
 
 TEST(FoldContractTest, WindowedErrorsNumberEachProcessorsEvents) {

@@ -32,7 +32,7 @@ TEST(MasterWorkerTest, RunsAndValidates) {
   EXPECT_FALSE(static_cast<bool>(E));
   // Every task produces a master->worker message plus the stop messages,
   // and each worker sends one request per task plus the initial one.
-  trace::TraceStats Stats = trace::computeTraceStats(Trace);
+  trace::TraceStats Stats = cantFail(trace::computeTraceStats(Trace));
   EXPECT_EQ(Stats.TotalMessages,
             (40u + 4u) /* tasks + stops */ + (40u + 4u) /* requests */);
 }
@@ -226,8 +226,8 @@ TEST(DecompositionTest, CommunicationVolumeMatchesSurfaceModel) {
   Config.Layout = Decomposition::Blocks2D;
   auto Blocks = cantFail(runDecomposition(Config));
 
-  trace::TraceStats StripStats = trace::computeTraceStats(Strips);
-  trace::TraceStats BlockStats = trace::computeTraceStats(Blocks);
+  trace::TraceStats StripStats = cantFail(trace::computeTraceStats(Strips));
+  trace::TraceStats BlockStats = cantFail(trace::computeTraceStats(Blocks));
   // Strips: 2*(P-1) messages of N cells per step.
   EXPECT_EQ(StripStats.TotalMessages, 2u * 15u * 2u);
   EXPECT_EQ(StripStats.TotalBytes, 2ull * 15 * 2 * 128 * 8);

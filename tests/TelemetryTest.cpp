@@ -313,7 +313,7 @@ TEST(TelemetryTest, CountersAreAtomicAcrossThreadCounts) {
   }
 }
 
-TEST(TelemetryTest, StrictReductionSpansValidationInReduceStage) {
+TEST(TelemetryTest, ReductionSpansOneShardPerProcessorInReduceStage) {
   if (!TelemetryCompiled)
     GTEST_SKIP() << "telemetry compiled out";
   trace::Trace T = makeTrace(4, 10);
@@ -326,14 +326,19 @@ TEST(TelemetryTest, StrictReductionSpansValidationInReduceStage) {
     telemetry::setEnabled(false);
     telemetry::Snapshot S = telemetry::collect();
 
-    unsigned Validations = 0;
-    for (const telemetry::SpanEvent &E : S.Events)
-      if (S.nameOf(E.Name) == "reduce.validate") {
-        ++Validations;
+    // One walk per processor, which in strict mode is the validation:
+    // no separate validation pass runs.
+    unsigned Shards = 0, Validations = 0;
+    for (const telemetry::SpanEvent &E : S.Events) {
+      if (S.nameOf(E.Name) == "reduce.shard") {
+        ++Shards;
         EXPECT_EQ(S.nameOf(E.Stage), "reduce");
       }
-    // Lenient reductions skip validation altogether.
-    EXPECT_EQ(Validations, Mode == ParseMode::Strict ? 1u : 0u);
+      if (S.nameOf(E.Name) == "reduce.validate")
+        ++Validations;
+    }
+    EXPECT_EQ(Shards, T.numProcs());
+    EXPECT_EQ(Validations, 0u);
   }
 }
 

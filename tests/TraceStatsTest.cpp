@@ -42,19 +42,14 @@ Trace makeStatsTrace() {
 } // namespace
 
 TEST(TraceStatsTest, CountsAndSpan) {
-  TraceStats Stats = computeTraceStats(makeStatsTrace());
-  EXPECT_EQ(Stats.TotalEvents, 14u);
+  TraceStats Stats = cantFail(computeTraceStats(makeStatsTrace()));
   EXPECT_DOUBLE_EQ(Stats.Span, 2.6);
-  EXPECT_EQ(Stats.EventCounts[static_cast<size_t>(EventKind::MessageSend)],
-            2u);
-  EXPECT_EQ(Stats.EventCounts[static_cast<size_t>(EventKind::MessageRecv)],
-            2u);
-  EXPECT_EQ(Stats.EventCounts[static_cast<size_t>(EventKind::RegionEnter)],
-            2u);
+  // Two sends and two receives: only the sends count.
+  EXPECT_EQ(Stats.TotalMessages, 2u);
 }
 
 TEST(TraceStatsTest, TrafficMatrix) {
-  TraceStats Stats = computeTraceStats(makeStatsTrace());
+  TraceStats Stats = cantFail(computeTraceStats(makeStatsTrace()));
   EXPECT_EQ(Stats.traffic(0, 1).Messages, 2u);
   EXPECT_EQ(Stats.traffic(0, 1).Bytes, 400u);
   EXPECT_EQ(Stats.traffic(1, 0).Messages, 0u);
@@ -62,16 +57,9 @@ TEST(TraceStatsTest, TrafficMatrix) {
   EXPECT_EQ(Stats.TotalBytes, 400u);
 }
 
-TEST(TraceStatsTest, BusyTimeAndInstances) {
-  TraceStats Stats = computeTraceStats(makeStatsTrace());
-  EXPECT_NEAR(Stats.BusyTime[0], 2.2, 1e-12);
-  EXPECT_NEAR(Stats.BusyTime[1], 2.6, 1e-12);
-  EXPECT_EQ(Stats.RegionInstances[0], 1u);
-}
-
 TEST(TraceStatsTest, MatrixRendering) {
   std::string Matrix = renderCommunicationMatrix(
-      computeTraceStats(makeStatsTrace()));
+      cantFail(computeTraceStats(makeStatsTrace())));
   EXPECT_NE(Matrix.find("2/400"), std::string::npos);
   EXPECT_NE(Matrix.find("from\\to"), std::string::npos);
   EXPECT_NE(Matrix.find("p2"), std::string::npos);
@@ -88,7 +76,7 @@ TEST(TraceStatsTest, AgreesWithSimulatorTraffic) {
     C.send(Next, 50 * (C.rank() + 1));
     C.recv(Prev);
   }));
-  TraceStats Stats = computeTraceStats(Trace);
+  TraceStats Stats = cantFail(computeTraceStats(Trace));
   EXPECT_EQ(Stats.TotalMessages, 4u);
   EXPECT_EQ(Stats.TotalBytes, 50u + 100u + 150u + 200u);
   EXPECT_EQ(Stats.traffic(2, 3).Bytes, 150u);
@@ -102,7 +90,7 @@ TEST(TimelineTest, RendersDominantActivityPerBucket) {
   Trace T = makeStatsTrace();
   TimelineOptions Options;
   Options.Width = 13; // 0.2s buckets over the 2.6s span.
-  std::string Art = renderTimeline(T, Options);
+  std::string Art = cantFail(renderTimeline(T, Options));
   // Proc 1: computation (activity 0 -> 'c') for the first ~10 buckets,
   // then p2p ('p').
   EXPECT_NE(Art.find("p1 |cccccccccc"), std::string::npos);
@@ -116,7 +104,7 @@ TEST(TimelineTest, EmptyTraceHandled) {
   Trace T(2);
   T.addRegion("r");
   T.addActivity("a");
-  EXPECT_EQ(renderTimeline(T), "(empty trace)\n");
+  EXPECT_EQ(cantFail(renderTimeline(T)), "(empty trace)\n");
 }
 
 TEST(TimelineTest, IdleGapsBlank) {
@@ -132,7 +120,7 @@ TEST(TimelineTest, IdleGapsBlank) {
   T.append({4.0, 0, EventKind::RegionExit, R, 0});
   TimelineOptions Options;
   Options.Width = 4; // 1s buckets.
-  std::string Art = renderTimeline(T, Options);
+  std::string Art = cantFail(renderTimeline(T, Options));
   EXPECT_NE(Art.find("|c  c|"), std::string::npos);
 }
 
@@ -142,7 +130,7 @@ TEST(TimelineTest, CustomActivityCharsAndWidth) {
   Options.Width = 5;
   Options.ActivityChars = "XY";
   Options.IdleChar = '_';
-  std::string Art = renderTimeline(T, Options);
+  std::string Art = cantFail(renderTimeline(T, Options));
   EXPECT_NE(Art.find('X'), std::string::npos);
   EXPECT_NE(Art.find('Y'), std::string::npos);
   EXPECT_NE(Art.find("X=comp"), std::string::npos);

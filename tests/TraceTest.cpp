@@ -274,6 +274,28 @@ TEST(TraceValidationTest, EndOfStreamErrorOfLowerProcessorWins) {
   expectValidateError(T, "proc 0: region left open at end of trace");
 }
 
+TEST(TraceValidationTest, TimeOutOfRangeIsCheckedBeforeTheStep) {
+  // A negative time is also out of order here; the range check comes
+  // first, with its own code, as does an infinite one.
+  for (double Bad : {-1.0, std::numeric_limits<double>::infinity()}) {
+    Trace T(2);
+    uint32_t R = T.addRegion("r");
+    T.append({0.0, 0, EventKind::RegionEnter, R, 0});
+    T.append({1.0, 0, EventKind::RegionExit, R, 0});
+    T.append({0.5, 1, EventKind::RegionEnter, R, 0});
+    T.append({Bad, 1, EventKind::RegionExit, R, 0});
+    std::string Msg = "proc 1 event 1: time " +
+                      std::string(Bad < 0.0 ? "-1.000000000" : "inf") +
+                      " is not finite and non-negative";
+    for (unsigned Threads : {1u, 2u, 8u}) {
+      Error E = T.validate(Threads);
+      ASSERT_TRUE(static_cast<bool>(E)) << "threads=" << Threads;
+      EXPECT_EQ(E.code(), ErrorCode::ValueOutOfRange);
+      EXPECT_EQ(E.message(), Msg) << "threads=" << Threads;
+    }
+  }
+}
+
 TEST(TraceValidationTest, SmallestUnbalancedMessageKeyWins) {
   Trace Balanced = makeMessageTrace(
       {{0, 1, 64, +1}, {0, 1, 64, +1}, {0, 1, 64, -1}, {0, 1, 64, -1}});

@@ -10,7 +10,10 @@
 # each event line once: 15 on the first trace.  A slice (--regions on
 # the first, --window on the second) changes neither verdict: lenient
 # lima_analyze logs the same total and dropped count as without it,
-# and strict mode exits 6 with the same message.
+# and strict mode exits 6 with the same message.  --traffic counts only
+# the sends the fold keeps: on a trace whose second send steps back in
+# time, lenient lima_analyze prints p1 -> p2 as 1/100, not 2/1099, and
+# strict mode exits 6.
 # Usage: lenient_analyses_smoke.sh LIMA_ANALYZE LIMA_MONITOR CORPUS WORK
 set -u
 
@@ -105,6 +108,17 @@ for Case in "stray-exit-then-earlier --regions main" \
   [ "$(tail -n 1 "$Out.err")" = "$(tail -n 1 "$Out.whole.err")" ] ||
     fail "$Name $*: strict message '$(tail -n 1 "$Out.err")'"
 done
+
+Trace="$Corpus/send-steps-back.trace"
+Out="$Work/send-steps-back"
+"$Analyze" --lenient --quiet --traffic "$Trace" > "$Out.out" 2> /dev/null ||
+  fail "send-steps-back: lima_analyze --lenient --traffic failed"
+grep -q ' 1/100 ' "$Out.out" && ! grep -q '2/1099' "$Out.out" ||
+  fail "send-steps-back: lenient traffic is not 1/100: $(grep '^| p1 ' "$Out.out")"
+"$Analyze" --quiet --traffic "$Trace" > /dev/null 2>&1
+Status=$?
+[ "$Status" -eq 6 ] ||
+  fail "send-steps-back: strict --traffic exited $Status, expected 6"
 
 [ "$Failures" -eq 0 ] || exit 1
 echo "lenient_analyses_smoke: ok"

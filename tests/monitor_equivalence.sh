@@ -6,7 +6,9 @@
 # strict errors several 64 KiB chunks in, a step back in time), the
 # monitor's stdout, stderr and exit status must equal the loop's byte
 # for byte.  The clean and lenient traces are also fed through stdin in
-# odd-sized writes, so that reads end at arbitrary bytes.
+# odd-sized writes, so that reads end at arbitrary bytes.  The clean
+# case must pass strict mode (exit 0) and compare at least 2,500 window
+# records, or the comparison proves nothing about the windows.
 # Usage: monitor_equivalence.sh LIMA_MONITOR_BIN HELPER_BIN WORK_DIR
 set -u
 
@@ -58,4 +60,10 @@ check backwards-lenient file --lenient
 
 [ "$Failures" -eq 0 ] || exit 1
 Windows=$(grep -c '"msg":"window"' "$Work/clean.stdout")
+CleanStatus=$(cat "$Work/clean.status")
+if [ "$CleanStatus" != 0 ] || [ "$Windows" -lt 2500 ]; then
+  echo "monitor_equivalence: the clean case exits $CleanStatus with" \
+       "$Windows windows, expected 0 with at least 2500" >&2
+  exit 1
+fi
 echo "monitor_equivalence: OK ($Windows windows)"

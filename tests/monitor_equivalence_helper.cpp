@@ -98,14 +98,16 @@ std::vector<Line> makeEvents() {
       Lines.push_back({T, std::move(Text)});
     };
     while (T < 25000000) {
-      emit("re", R.uniformInt(3));
+      uint64_t Region = R.uniformInt(3);
+      emit("re", Region);
       for (uint64_t Steps = 1 + R.uniformInt(4); Steps != 0; --Steps) {
-        emit("ab", R.uniformInt(3));
+        uint64_t Activity = R.uniformInt(3);
+        emit("ab", Activity);
         T += R.uniformInt(50) == 0 ? 20000 + R.uniformInt(40000)
                                    : 500 + R.uniformInt(8000);
-        emit("ae", 0);
+        emit("ae", Activity);
       }
-      emit("rx", 0);
+      emit("rx", Region);
       T += R.uniformInt(1000);
     }
   }
