@@ -594,14 +594,23 @@ int main(int Argc, char **Argv) {
   ParseOptions LenientParse;
   LenientParse.Mode = ParseMode::Lenient;
   LenientParse.Report = &LenientReport;
-  double TextLenientPct = 0.0;
   // Strict and lenient parses run in pairs, at least 7 whatever --reps
   // says, and the pairs alternate which mode goes first, so neither
   // mode always finds the caches the other left.  The overhead is the
-  // median of the pairs' differences; the walls are medians too.
+  // median of the pairs' differences, with a 95% bootstrap interval of
+  // that median (seeded per leg, so a rerun on the same timings gives
+  // the same interval); the walls are medians too.
   constexpr unsigned MinParsePairs = 7;
-  auto parseOverhead = [&](const char *Name, auto &&Parse,
-                           double *PctOut = nullptr) {
+  struct ParseLeg {
+    stats::BootstrapInterval CI; ///< Estimate: the median difference.
+    std::string Json;
+  };
+  auto ciJson = [](const stats::BootstrapInterval &CI) {
+    return "[" + formatFixed(CI.Lower, 2) + ", " + formatFixed(CI.Upper, 2) +
+           "]";
+  };
+  auto parseOverhead = [&](const char *Name, uint64_t Seed,
+                           auto &&Parse) -> ParseLeg {
     unsigned Pairs = std::max(Reps, MinParsePairs);
     std::vector<double> StrictRuns, LenientRuns, PairPcts;
     for (unsigned Pair = 0; Pair != Pairs; ++Pair) {
@@ -627,34 +636,38 @@ int main(int Argc, char **Argv) {
     }
     double StrictMs = stats::median(StrictRuns);
     double LenientMs = stats::median(LenientRuns);
-    double Pct = stats::median(PairPcts);
-    if (PctOut)
-      *PctOut = Pct;
+    stats::BootstrapOptions Boot;
+    Boot.Seed = Seed;
+    stats::BootstrapInterval CI = stats::bootstrapCI(
+        PairPcts,
+        [](const std::vector<double> &Sample) { return stats::median(Sample); },
+        Boot);
+    double Pct = CI.Estimate;
     OS << "parse " << leftJustify(Name, 6) << " strict "
        << formatFixed(StrictMs, 2) << " ms, lenient "
-       << formatFixed(LenientMs, 2) << " ms ("
-       << formatFixed(Pct, 1) << "% overhead, median of " << Pairs
+       << formatFixed(LenientMs, 2) << " ms (" << formatFixed(Pct, 1)
+       << "% overhead, 95% CI [" << formatFixed(CI.Lower, 1) << ", "
+       << formatFixed(CI.Upper, 1) << "], median of " << Pairs
        << " alternating pairs)\n";
-    return "{\"strict_wall_ms\": " + formatFixed(StrictMs, 3) +
-           ", \"lenient_wall_ms\": " + formatFixed(LenientMs, 3) +
-           ", \"overhead_pct\": " + formatFixed(Pct, 2) + "}";
+    return {CI,
+            "{\"strict_wall_ms\": " + formatFixed(StrictMs, 3) +
+                ", \"lenient_wall_ms\": " + formatFixed(LenientMs, 3) +
+                ", \"overhead_pct\": " + formatFixed(Pct, 2) +
+                ", \"overhead_ci_pct\": " + ciJson(CI) + "}"};
   };
   OS << '\n';
-  std::string TextParseJson = parseOverhead(
-      "text",
-      [&](const ParseOptions &O) {
-        return trace::parseTraceText(TraceText, O);
-      },
-      &TextLenientPct);
-  std::string BinaryParseJson =
-      parseOverhead("binary", [&](const ParseOptions &O) {
+  ParseLeg TextParse = parseOverhead("text", 0, [&](const ParseOptions &O) {
+    return trace::parseTraceText(TraceText, O);
+  });
+  ParseLeg BinaryParse =
+      parseOverhead("binary", 1, [&](const ParseOptions &O) {
         return trace::parseTraceBinary(TraceBinary, O);
       });
   // The lenient rent on clean input must stay under 2%; the fast path
   // made strict parsing much cheaper, so the per-record bookkeeping has
   // to be cheap in *relative* terms too.
   constexpr double LenientTargetPct = 2.0;
-  bool LenientTargetOk = TextLenientPct <= LenientTargetPct;
+  bool LenientTargetOk = TextParse.CI.Estimate <= LenientTargetPct;
   OS << "parse text lenient overhead target <= "
      << formatFixed(LenientTargetPct, 1) << "%: "
      << (LenientTargetOk ? "PASS" : "FAIL") << '\n';
@@ -718,7 +731,8 @@ int main(int Argc, char **Argv) {
       ", \"scanner_fallback\": " + FallbackJson +
       ", \"fallback_bytes\": " + std::to_string(FallbackText.size()) +
       ", \"sharded_1\": " + Par1Json + ", \"sharded_hw\": " + ParHwJson +
-      ", \"lenient_overhead_pct\": " + formatFixed(TextLenientPct, 2) +
+      ", \"lenient_overhead_pct\": " + formatFixed(TextParse.CI.Estimate, 2) +
+      ", \"lenient_overhead_ci_pct\": " + ciJson(TextParse.CI) +
       ", \"lenient_overhead_target_pct\": " +
       formatFixed(LenientTargetPct, 1) +
       ", \"lenient_overhead_ok\": " +
@@ -855,8 +869,8 @@ int main(int Argc, char **Argv) {
 
   bench::JsonFields Extra = {
       {"parse", "{\"events\": " + std::to_string(Events) +
-                    ", \"text\": " + TextParseJson +
-                    ", \"binary\": " + BinaryParseJson + "}"},
+                    ", \"text\": " + TextParse.Json +
+                    ", \"binary\": " + BinaryParse.Json + "}"},
       {"ingest", IngestJson},
       {"binary_ingest", BinaryIngestJson},
       {"streaming_write", StreamingWriteJson},

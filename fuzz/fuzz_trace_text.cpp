@@ -15,7 +15,9 @@
 //  - a line the generic path accepts as an event of processor P must be
 //    named P by eventLineProcessor, the rule the sharded parser sizes
 //    each processor's slice by (a line it missed would be written past
-//    the slice).
+//    the slice), and counted as a message exactly when the event is an
+//    ms or mr (a message it missed would be written past the message
+//    slice).
 // It also feeds the input to StreamParser whole and in chunks of 1-7
 // bytes, their sizes drawn from the input itself, in both modes, and
 // traps unless the two runs give bit-identical events, the same drop
@@ -83,8 +85,10 @@ void checkLines(std::string_view Text) {
     if (Failed)
       Err.consume();
     uint32_t Proc;
-    if (!Failed && (!scan::eventLineProcessor(Line, Tables.NumProcs, Proc) ||
-                    Proc != Generic.Proc))
+    bool Message;
+    if (!Failed &&
+        (!scan::eventLineProcessor(Line, Tables.NumProcs, Proc, Message) ||
+         Proc != Generic.Proc || Message != isMessage(Generic.Kind)))
       __builtin_trap();
     Event Fast, InPlace;
     size_t FastEnd = 0, InPlaceEnd = 0;

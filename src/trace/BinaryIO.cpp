@@ -130,7 +130,9 @@ std::string trace::writeTraceBinary(const Trace &T,
     }
   }
 
-  // Serialize the blocks, collecting the index as we go.
+  // Serialize the blocks, collecting the index as we go.  A processor's
+  // runs come in stream order, so one cursor per processor walks its
+  // message column across them; every other event writes a count of 0.
   struct IndexEntry {
     uint64_t Offset;
     uint32_t Bytes;
@@ -140,6 +142,7 @@ std::string trace::writeTraceBinary(const Trace &T,
     uint32_t Crc;
   };
   std::vector<IndexEntry> Index(Plan.size());
+  std::vector<uint64_t> MessageCursor(T.numProcs(), 0);
   for (size_t B = 0; B != Plan.size(); ++B) {
     const PlanBlock &PB = Plan[B];
     const size_t BlockStart = Out.size();
@@ -153,12 +156,13 @@ std::string trace::writeTraceBinary(const Trace &T,
       const double *Times = Events.times();
       const EventKind *Kinds = Events.kinds();
       const uint32_t *Ids = Events.ids();
-      const uint64_t *Bytes = Events.bytes();
+      const uint64_t *MessageBytes = Events.messageBytes();
+      uint64_t &Messages = MessageCursor[R.Proc];
       for (uint64_t J = R.First; J != R.First + R.Count; ++J) {
         appendScalar<double>(Out, Times[J]);
         appendScalar<uint8_t>(Out, static_cast<uint8_t>(Kinds[J]));
         appendVarint(Out, Ids[J]);
-        appendVarint(Out, Bytes[J]);
+        appendVarint(Out, isMessage(Kinds[J]) ? MessageBytes[Messages++] : 0);
       }
       if (!Any) {
         FirstTime = Times[R.First];

@@ -36,10 +36,18 @@ enum class EventKind : uint8_t {
 /// "ms", "mr").
 std::string_view eventKindMnemonic(EventKind Kind);
 
+/// Whether \p Kind is a message send or receive, the only kinds that
+/// carry a byte count.
+constexpr bool isMessage(EventKind Kind) {
+  return Kind == EventKind::MessageSend || Kind == EventKind::MessageRecv;
+}
+
 /// One trace record.  Field meaning depends on Kind:
 ///  - RegionEnter/RegionExit: Id is the region id.
 ///  - ActivityBegin/ActivityEnd: Id is the activity id.
 ///  - MessageSend/MessageRecv: Id is the peer rank, Bytes the payload.
+/// A Trace keeps Bytes for messages only: any other event reads back
+/// with Bytes 0.
 struct Event {
   double Time = 0.0;
   uint32_t Proc = 0;

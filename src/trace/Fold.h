@@ -86,7 +86,7 @@ public:
   /// read only for messages.
   template <typename Sink>
   FoldStep step(Sink &S, double Time, EventKind Kind, uint32_t Id,
-                const uint64_t &Bytes);
+                uint64_t Bytes);
 
   unsigned proc() const { return Proc; }
   /// The latest time of an event that was not out of order.
@@ -136,7 +136,7 @@ private:
 template <typename Sink>
 [[gnu::always_inline]] inline FoldStep
 FoldState::step(Sink &S, double Time, EventKind Kind, uint32_t Id,
-                const uint64_t &Bytes) {
+                uint64_t Bytes) {
   size_t Index = Next++;
   if (Time + Tolerance < Clock) [[unlikely]]
     return late(Index, Time);
@@ -253,7 +253,10 @@ Error foldTrace(const Trace &T, ParseMode Mode, Sink &S, unsigned Threads = 1,
     const double *Times = Stream.times();
     const EventKind *Kinds = Stream.kinds();
     const uint32_t *Ids = Stream.ids();
-    const uint64_t *Bytes = Stream.bytes();
+    // The message column holds one count per message event, so a cursor
+    // walks it; it is read only at a message, never past its end.
+    const uint64_t *MessageBytes = Stream.messageBytes();
+    size_t Messages = 0;
     for (size_t I = 0; I != Stream.size(); ++I) {
       if (Strict && (!std::isfinite(Times[I]) || Times[I] < 0.0)) {
         C.Err = makeCodedError(ErrorCode::ValueOutOfRange,
@@ -263,8 +266,9 @@ Error foldTrace(const Trace &T, ParseMode Mode, Sink &S, unsigned Threads = 1,
                     .toParseError();
         return;
       }
-      if (State.step(S, Times[I], Kinds[I], Ids[I], Bytes[I]) ==
-          FoldStep::Failed) {
+      const EventKind Kind = Kinds[I];
+      const uint64_t Bytes = isMessage(Kind) ? MessageBytes[Messages++] : 0;
+      if (State.step(S, Times[I], Kind, Ids[I], Bytes) == FoldStep::Failed) {
         assert(State.failed() && "a foldTrace sink failed a step");
         C.Err = State.takeError();
         return;
@@ -272,10 +276,10 @@ Error foldTrace(const Trace &T, ParseMode Mode, Sink &S, unsigned Threads = 1,
       // Strict mode tallies the messages for the matching.
       if (!Strict)
         continue;
-      if (Kinds[I] == EventKind::MessageSend)
-        ++C.Sent[{Ids[I], Bytes[I]}];
-      else if (Kinds[I] == EventKind::MessageRecv)
-        ++C.Received[{Ids[I], Bytes[I]}];
+      if (Kind == EventKind::MessageSend)
+        ++C.Sent[{Ids[I], Bytes}];
+      else if (Kind == EventKind::MessageRecv)
+        ++C.Received[{Ids[I], Bytes}];
     }
     if (Strict && (State.depth() != 0 || State.activityOpen())) {
       C.Err = makeCodedError(ErrorCode::StructuralError,

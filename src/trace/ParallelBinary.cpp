@@ -13,11 +13,16 @@
 //              tiling of the payload, run/event consistency); on any
 //              doubt fall back to a sequential self-framed block walk
 //   size       size every processor's columns from the index, leaving
-//              the slots unwritten
+//              the slots unwritten; the index counts no messages, so
+//              each message column is reserved at its event count
 //   decode     decode blocks concurrently, each writing its runs'
-//              events straight into their final positions
-//   merge      fold per-block reports in block order (sequential);
-//              lenient drops compact the columns afterwards
+//              events straight into their final positions, and each
+//              run's messages into the message column from the run's
+//              first event slot on
+//   merge      fold per-block reports in block order (sequential),
+//              then slide every run's messages down behind the ones
+//              before it, and the events where lenient drops left
+//              gaps
 //
 // The merge order makes the result independent of scheduling: the first
 // erroring block in file order wins in strict mode, and lenient counts
@@ -66,6 +71,7 @@ struct BlockState {
   ParseReport Report;
   std::optional<ParseError> Err; ///< Strict-mode stop for this block.
   std::vector<uint32_t> RunWritten;
+  std::vector<uint32_t> RunMessages; ///< The message events among those.
 };
 
 /// Decodes block \p B of \p Idx into the pre-sized columns \p Cols.
@@ -76,7 +82,8 @@ struct BlockState {
 /// mismatch, run table disagreement, truncated or oversized payload,
 /// time bounds that do not match — discards the whole block in lenient
 /// mode (all its declared events count as dropped) or stops with the
-/// block's error in strict mode.
+/// block's error in strict mode.  A run's message byte counts go to the
+/// message column from its destination on; other records keep none.
 void decodeBlock(std::string_view Data, const BinaryHeader &H,
                  const BinaryIndex &Idx, size_t B, const Trace &T,
                  const std::vector<Trace::StreamColumns> &Cols,
@@ -84,6 +91,7 @@ void decodeBlock(std::string_view Data, const BinaryHeader &H,
                  const ParseOptions &Options, BlockState &State) {
   const BlockInfo &Blk = Idx.Blocks[B];
   State.RunWritten.assign(Blk.NumRuns, 0);
+  State.RunMessages.assign(Blk.NumRuns, 0);
   const size_t BlockEnd = static_cast<size_t>(Blk.Offset) + Blk.Bytes;
   uint64_t Inspected = 0;
   bool Strict = Options.Mode != ParseMode::Lenient;
@@ -100,6 +108,7 @@ void decodeBlock(std::string_view Data, const BinaryHeader &H,
     }
     State.Report = ParseReport();
     State.RunWritten.assign(Blk.NumRuns, 0);
+    State.RunMessages.assign(Blk.NumRuns, 0);
     State.Report.TotalRecords = Blk.Events;
     size_t Bucket = static_cast<size_t>(PE.Code);
     State.Report.addDrop(std::move(PE));
@@ -158,7 +167,7 @@ void decodeBlock(std::string_view Data, const BinaryHeader &H,
 
     const Trace::StreamColumns &C = Cols[Run.Proc];
     const uint64_t Dest = RunDest[Blk.FirstRun + R];
-    uint32_t Written = 0;
+    uint32_t Written = 0, Messages = 0;
     for (uint32_t J = 0; J != Run.Count; ++J) {
       RawRecord Rec;
       RecordStatus S = decodeRecord(Data.data(), Pos, BlockEnd, Bounds, Rec);
@@ -175,10 +184,12 @@ void decodeBlock(std::string_view Data, const BinaryHeader &H,
       C.Times[Dest + Written] = Rec.Time;
       C.Kinds[Dest + Written] = static_cast<EventKind>(Rec.Kind);
       C.Ids[Dest + Written] = static_cast<uint32_t>(Rec.Id);
-      C.Bytes[Dest + Written] = Rec.Bytes;
+      if (isMessage(static_cast<EventKind>(Rec.Kind)))
+        C.MessageBytes[Dest + Messages++] = Rec.Bytes;
       ++Written;
     }
     State.RunWritten[R] = Written;
+    State.RunMessages[R] = Messages;
   }
   if (Pos != BlockEnd)
     return indexMismatch(Pos);
@@ -305,7 +316,10 @@ Expected<Trace> parseBinaryV2Indexed(std::string_view Data,
   // Destination offsets: runs are in file order, which within one
   // processor is stream order, so a prefix scan per processor places
   // every run.  Sizing leaves the slots unwritten; the decoding thread
-  // of each block is the first to touch its runs' slots.
+  // of each block is the first to touch its runs' slots.  A run's
+  // messages start at its first event slot in the message column,
+  // which is reserved at the event count: only the pages that messages
+  // are written to are ever touched.
   std::vector<uint64_t> RunDest(Idx.Runs.size());
   std::vector<Trace::StreamColumns> Cols(H.NumProcs);
   {
@@ -316,7 +330,7 @@ Expected<Trace> parseBinaryV2Indexed(std::string_view Data,
       ProcTotal[Idx.Runs[R].Proc] += Idx.Runs[R].Count;
     }
     for (unsigned Proc = 0; Proc != H.NumProcs; ++Proc) {
-      T.resizeStream(Proc, ProcTotal[Proc]);
+      T.resizeStream(Proc, ProcTotal[Proc], ProcTotal[Proc]);
       Cols[Proc] = T.streamColumns(Proc);
     }
   }
@@ -340,23 +354,29 @@ Expected<Trace> parseBinaryV2Indexed(std::string_view Data,
         return Error::fromParse(std::move(*States[B].Err));
     }
 
-    // Compact out the gaps lenient drops left in the pre-sized columns:
-    // per processor, slide each run's written prefix down in run order.
+    // Compact the pre-sized columns: per processor, in run order, slide
+    // each run's written prefix down over the gaps lenient drops left,
+    // and its messages down behind the messages of the runs before it.
     std::vector<uint64_t> Cursor(H.NumProcs, 0);
+    std::vector<uint64_t> MessageCursor(H.NumProcs, 0);
     for (size_t B = 0; B != Idx.Blocks.size(); ++B) {
       const BlockInfo &Blk = Idx.Blocks[B];
       for (uint32_t R = 0; R != Blk.NumRuns; ++R) {
         const BlockRun &Run = Idx.Runs[Blk.FirstRun + R];
         const uint64_t Written = States[B].RunWritten[R];
+        const uint64_t Messages = States[B].RunMessages[R];
         const uint64_t Dest = RunDest[Blk.FirstRun + R];
         uint64_t &At = Cursor[Run.Proc];
+        uint64_t &MessageAt = MessageCursor[Run.Proc];
         Cols[Run.Proc].slide(At, Dest, Written);
+        Cols[Run.Proc].slideMessages(MessageAt, Dest, Messages);
         At += Written;
+        MessageAt += Messages;
       }
     }
     uint64_t Kept = 0;
     for (unsigned Proc = 0; Proc != H.NumProcs; ++Proc) {
-      T.truncateStream(Proc, Cursor[Proc]);
+      T.resizeStream(Proc, Cursor[Proc], MessageCursor[Proc]);
       Kept += Cursor[Proc];
     }
     LIMA_METRIC_COUNT("lima.parse.binary.events_total", Kept);

@@ -10,19 +10,21 @@
 //              line, creating the trace at 'procs' and registering
 //              every declared name
 //   scan       shard the rest at newline boundaries; per shard, count
-//              lines, count the lines naming each processor
-//              (scan::eventLineProcessor) and look for stray directives
-//              (pass A, parallel)
-//   size       size every processor's stream once from those counts;
-//              a shard's slice of a stream starts where the slices of
-//              the shards before it end
+//              lines, count the lines naming each processor, and among
+//              them the message lines (scan::eventLineProcessor), and
+//              look for stray directives (pass A, parallel)
+//   size       size every processor's stream and message column once
+//              from those counts; a shard's slice of either starts
+//              where the slices of the shards before it end
 //   parse      per shard, run the shared event-record grammar and write
 //              each accepted event straight into the next slot of its
-//              processor's slice, plus a shard-local ParseReport
-//              (pass B, parallel)
+//              processor's slice, and a message's byte count into the
+//              next slot of its message slice, plus a shard-local
+//              ParseReport (pass B, parallel)
 //   merge      fold shard reports and errors back in shard order, then
 //              close the gaps dropped lines left, sliding each
-//              processor's slices down in shard order
+//              processor's event and message slices down in shard
+//              order
 //
 // Everything that could make the sharded result differ from the
 // sequential one — a directive in the event section (it would mutate
@@ -73,11 +75,16 @@ struct Shard {
   /// Per processor, the lines naming it: an upper bound on the events
   /// pass B accepts for it, and the length of its slice.
   std::vector<uint64_t> Counts;
+  /// Per processor, those of its lines that name an ms or mr event: the
+  /// same bound for its messages, and the length of its message slice.
+  std::vector<uint64_t> MessageCounts;
 
   // Pass B inputs/results.
   size_t FirstLineNo = 0; ///< 1-based number of the shard's first line.
   std::vector<uint64_t> Base;    ///< Per processor, its slice's first slot.
   std::vector<uint64_t> Written; ///< Per processor, events in its slice.
+  std::vector<uint64_t> MessageBase;    ///< Same, for its message slice.
+  std::vector<uint64_t> MessagesWritten; ///< Messages in that slice.
   uint64_t NumEvents = 0;
   ParseReport Report;
   std::optional<ParseError> Err;
@@ -141,10 +148,11 @@ size_t eventSectionStart(std::string_view Text) {
   return Text.size();
 }
 
-/// Pass A: line count, directive detection and per-processor line
-/// counts for one shard.
+/// Pass A: line count, directive detection and per-processor line and
+/// message counts for one shard.
 void scanShard(std::string_view Text, Shard &S, unsigned NumProcs) {
   S.Counts.assign(NumProcs, 0);
+  S.MessageCounts.assign(NumProcs, 0);
   forEachSegment(Text, S, [&](size_t Begin, size_t End) {
     ++S.Lines;
     std::string_view Line =
@@ -154,8 +162,11 @@ void scanShard(std::string_view Text, Shard &S, unsigned NumProcs) {
     if (!S.SawDirective && isDirectiveLine(Line))
       S.SawDirective = true;
     uint32_t Proc;
-    if (scan::eventLineProcessor(Line, NumProcs, Proc))
+    bool Message;
+    if (scan::eventLineProcessor(Line, NumProcs, Proc, Message)) {
       ++S.Counts[Proc];
+      S.MessageCounts[Proc] += Message;
+    }
     return true;
   });
 }
@@ -207,15 +218,21 @@ void parseShard(std::string_view Text, Shard &S,
         return false;
       }
     }
-    // Pass A counted every line naming this processor, so the slice has
-    // room unless the two passes disagree on the processor; then the
-    // slot would be the next shard's, so stop instead of writing it.
+    // Pass A counted every line naming this processor, and every message
+    // line among them, so the slices have room unless the two passes
+    // disagree on the processor or the kind; then the slot would be the
+    // next shard's, so stop instead of writing it.
     uint64_t &Written = S.Written[E.Proc];
-    if (Written == S.Counts[E.Proc]) {
+    uint64_t &MessagesWritten = S.MessagesWritten[E.Proc];
+    const bool Message = isMessage(E.Kind);
+    if (Written == S.Counts[E.Proc] ||
+        (Message && MessagesWritten == S.MessageCounts[E.Proc])) {
       S.Err = makeParseError(ErrorCode::Generic, LineNo, LineOffset,
                              "trace line %zu: internal error: processor %u "
-                             "has more events than pass A counted",
-                             LineNo, E.Proc)
+                             "has more %s than pass A counted",
+                             LineNo, E.Proc,
+                             Written == S.Counts[E.Proc] ? "events"
+                                                         : "messages")
                   .toParseError();
       return false;
     }
@@ -224,7 +241,8 @@ void parseShard(std::string_view Text, Shard &S,
     C.Times[Slot] = E.Time;
     C.Kinds[Slot] = E.Kind;
     C.Ids[Slot] = E.Id;
-    C.Bytes[Slot] = E.Bytes;
+    if (Message)
+      C.MessageBytes[S.MessageBase[E.Proc] + MessagesWritten++] = E.Bytes;
     ++S.NumEvents;
     return true;
   });
@@ -270,12 +288,13 @@ Expected<Trace> trace::parseTraceTextParallel(std::string_view Text,
   if (auto Err = Parser.feed(Text.substr(0, EvStart), Result))
     return Err;
   size_t Remain = Text.size() - EvStart;
-  // Every shard keeps three counters for every processor (its line
-  // count, its slice's base, the events written); cap the shard count
-  // so that they never outweigh the event text itself.
+  // Every shard keeps six counters for every processor (its line and
+  // message counts, its two slices' bases, the events and messages
+  // written); cap the shard count so that they never outweigh the
+  // event text itself.
   if (Parser.headerComplete())
     Threads = static_cast<unsigned>(std::min<size_t>(
-        Threads, Remain / (Parser.numProcs() * 3 * sizeof(uint64_t))));
+        Threads, Remain / (Parser.numProcs() * 6 * sizeof(uint64_t))));
   // Nothing shardable (or not worth sharding): parse sequentially.
   // Without 'procs' the next event line fails with MissingSection, or
   // is dropped in lenient mode ahead of a late 'procs'; the sequential
@@ -342,9 +361,9 @@ Expected<Trace> trace::parseTraceTextParallel(std::string_view Text,
   }
 
   // Phase 3: size every stream once.  A processor's stream is its
-  // shards' slices in shard order, which is file order.  Counts never
-  // exceed RemainLines, so the storage stays inside the bound the
-  // allocation check above proved.
+  // shards' slices in shard order, which is file order, and so is its
+  // message column.  Counts never exceed RemainLines, so the storage
+  // stays inside the bound the allocation check above proved.
   Trace &T = *Result;
   const unsigned NumProcs = T.numProcs();
   const scan::EventTables Tables{true, NumProcs, T.numRegions(),
@@ -355,14 +374,19 @@ Expected<Trace> trace::parseTraceTextParallel(std::string_view Text,
     for (Shard &S : Shards) {
       S.Base.resize(NumProcs);
       S.Written.assign(NumProcs, 0);
+      S.MessageBase.resize(NumProcs);
+      S.MessagesWritten.assign(NumProcs, 0);
     }
     for (unsigned Proc = 0; Proc != NumProcs; ++Proc) {
       uint64_t At = T.events(Proc).size();
+      uint64_t MessageAt = T.events(Proc).numMessages();
       for (Shard &S : Shards) {
         S.Base[Proc] = At;
         At += S.Counts[Proc];
+        S.MessageBase[Proc] = MessageAt;
+        MessageAt += S.MessageCounts[Proc];
       }
-      T.resizeStream(Proc, At);
+      T.resizeStream(Proc, At, MessageAt);
       Cols[Proc] = T.streamColumns(Proc);
     }
   }
@@ -396,14 +420,19 @@ Expected<Trace> trace::parseTraceTextParallel(std::string_view Text,
   }
   // A slice is short by the lines pass A counted that pass B dropped
   // (lenient mode only: in strict mode such a line is the error).
-  // Close the gaps: slide each processor's slices down in shard order.
+  // Close the gaps: slide each processor's event and message slices
+  // down in shard order.
   for (unsigned Proc = 0; Proc != NumProcs; ++Proc) {
     uint64_t At = Shards.front().Base[Proc];
+    uint64_t MessageAt = Shards.front().MessageBase[Proc];
     for (const Shard &S : Shards) {
       Cols[Proc].slide(At, S.Base[Proc], S.Written[Proc]);
       At += S.Written[Proc];
+      Cols[Proc].slideMessages(MessageAt, S.MessageBase[Proc],
+                               S.MessagesWritten[Proc]);
+      MessageAt += S.MessagesWritten[Proc];
     }
-    T.truncateStream(Proc, At);
+    T.resizeStream(Proc, At, MessageAt);
   }
   return takeTrace(Result, Parser.eventsParsed() + MergedEvents,
                    Parser.lineNumber() + RemainLines);

@@ -9,7 +9,7 @@
 /// consumers — StreamParser, which runs every line-at-a-time parse, and
 /// the sharded parser's pass B (parseTraceTextParallel) — plus
 /// eventLineProcessor, the rule the sharded parser counts each
-/// processor's lines by before it sizes the streams.  Four layers:
+/// processor's lines and messages by before it sizes the streams.  Four layers:
 ///
 ///  - scanCanonicalEvent: a one-pass recognizer for the event lines
 ///    every LIMA writer prints.  Each consumer tries it first on an
@@ -503,12 +503,18 @@ inline bool tryCanonicalEvent(std::string_view Line,
 /// below \p NumProcs).  A canonical prefix (two non-space bytes, one
 /// space, 1-19 digits, a space byte) is read in place; any other line
 /// goes through splitFields.  Returns false when the field is missing,
-/// not a number or out of range.  Whenever splitFields +
-/// parseEventRecord accept a line as an event of processor P, this
-/// names P (fuzz_trace_text traps otherwise); a line it names may still
-/// fail another field, so counts built from it are upper bounds.
+/// not a number or out of range.  \p Message says whether the first
+/// field is "ms" or "mr", the mnemonics of the events that carry a byte
+/// count.  Whenever splitFields + parseEventRecord accept a line as an
+/// event of processor P, this names P, and sets \p Message exactly when
+/// the event is a message (fuzz_trace_text traps otherwise); a line it
+/// names may still fail another field, so counts built from it are
+/// upper bounds.
 inline bool eventLineProcessor(std::string_view Line, unsigned NumProcs,
-                               uint32_t &Proc) {
+                               uint32_t &Proc, bool &Message) {
+  Message = Line.size() >= 2 && Line[0] == 'm' &&
+            (Line[1] == 's' || Line[1] == 'r') &&
+            (Line.size() == 2 || isSpaceByte(Line[2]));
   uint64_t Value = 0;
   bool Canonical = false;
   if (Line.size() > 4 && !isSpaceByte(Line[0]) && !isSpaceByte(Line[1]) &&

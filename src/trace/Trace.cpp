@@ -71,7 +71,8 @@ void Trace::append(const Event &E) {
   S.Times.push_back(E.Time);
   S.Kinds.push_back(E.Kind);
   S.Ids.push_back(E.Id);
-  S.Bytes.push_back(E.Bytes);
+  if (isMessage(E.Kind))
+    S.MessageBytes.push_back(E.Bytes);
 }
 
 Trace::EventsRef Trace::events(unsigned Proc) const {
@@ -79,21 +80,32 @@ Trace::EventsRef Trace::events(unsigned Proc) const {
   return EventsRef(&Streams[Proc], Proc);
 }
 
-void Trace::resizeStream(unsigned Proc, size_t N) {
+void Trace::resizeStream(unsigned Proc, size_t N, size_t Messages) {
   assert(Proc < Streams.size() && "processor out of range");
-  Streams[Proc].resize(N);
+  assert(Messages <= N && "more messages than events");
+  Stream &S = Streams[Proc];
+  S.Times.resize(N);
+  S.Kinds.resize(N);
+  S.Ids.resize(N);
+  S.MessageBytes.resize(Messages);
 }
 
 void Trace::truncateStream(unsigned Proc, size_t N) {
   assert(Proc < Streams.size() && "processor out of range");
-  assert(N <= Streams[Proc].size() && "truncation cannot grow a stream");
-  Streams[Proc].resize(N);
+  Stream &S = Streams[Proc];
+  assert(N <= S.size() && "truncation cannot grow a stream");
+  const EventKind *Kinds = S.Kinds.data();
+  size_t Cut = 0;
+  for (size_t I = N; I != S.size(); ++I)
+    Cut += isMessage(Kinds[I]);
+  resizeStream(Proc, N, S.MessageBytes.size() - Cut);
 }
 
 Trace::StreamColumns Trace::streamColumns(unsigned Proc) {
   assert(Proc < Streams.size() && "processor out of range");
   Stream &S = Streams[Proc];
-  return {S.Times.data(), S.Kinds.data(), S.Ids.data(), S.Bytes.data()};
+  return {S.Times.data(), S.Kinds.data(), S.Ids.data(),
+          S.MessageBytes.data()};
 }
 
 size_t Trace::numEvents() const {

@@ -9,17 +9,22 @@
 /// event streams, with structural validation (balanced brackets, monotone
 /// per-processor time, matching message endpoints) run per processor.
 ///
-/// Events are stored struct-of-arrays: each processor's stream is four
-/// parallel columns (time, kind, id, bytes) rather than a vector of
-/// Event records.  Analysis passes that touch only a subset of the
-/// fields (the reduction never reads Bytes, the statistics never read
-/// Id except on sends) stream proportionally fewer bytes.  The two bulk
-/// decoders (the sharded text parse and the indexed LIMB v2 decode)
-/// size every stream once with resizeStream, which leaves the new slots
-/// unwritten, and then each decoding thread writes every event straight
-/// into its final slot: no per-event push_back, no merge copy, and no
-/// serial zero-fill ahead of the decode, so the decoding thread's write
-/// is the first touch of the column's pages.  Consumers iterate through
+/// Events are stored struct-of-arrays: each processor's stream is three
+/// parallel columns (time, kind, id) with one entry per event, plus a
+/// message column with one byte count per message event (ms/mr), in
+/// event order.  A message's byte count matters only to message
+/// matching and the traffic statistics, and most events are not
+/// messages, so no other event pays for one; the readers that need
+/// counts (the fold, the writers, EventsRef's iterator) walk in event
+/// order and keep a running message cursor.  Analysis passes that
+/// touch only a subset of the fields (the reduction never reads a byte
+/// count) stream proportionally fewer bytes.  The two bulk decoders
+/// (the sharded text parse and the indexed LIMB v2 decode) size every
+/// stream once with resizeStream, which leaves the new slots unwritten,
+/// and then each decoding thread writes every event straight into its
+/// final slot: no per-event push_back, no merge copy, and no serial
+/// zero-fill ahead of the decode, so the decoding thread's write is the
+/// first touch of the column's pages.  Consumers iterate through
 /// Trace::EventsRef, which materializes Event values on access, so
 /// range-for loops over events(P) read exactly as before.
 ///
@@ -116,37 +121,35 @@ class Trace {
     Column<double> Times;
     Column<EventKind> Kinds;
     Column<uint32_t> Ids;
-    Column<uint64_t> Bytes;
+    /// One byte count per message event, in event order.
+    Column<uint64_t> MessageBytes;
 
     size_t size() const { return Times.size(); }
-    void resize(size_t N) {
-      Times.resize(N);
-      Kinds.resize(N);
-      Ids.resize(N);
-      Bytes.resize(N);
-    }
   };
 
 public:
-  /// Random-access view of one processor's events.  Dereferencing
+  /// View of one processor's events, read in order.  Dereferencing
   /// materializes an Event value from the columns; the view is
   /// invalidated by any mutation of the stream it refers to.
   class EventsRef {
   public:
-    Event operator[](size_t I) const {
-      return {S->Times[I], Proc, S->Kinds[I], S->Ids[I], S->Bytes[I]};
-    }
     size_t size() const { return S->size(); }
     bool empty() const { return S->size() == 0; }
-    Event front() const { return (*this)[0]; }
-    Event back() const { return (*this)[S->size() - 1]; }
+    /// The first and the last event; neither may be called on an empty
+    /// stream.
+    Event front() const { return at(0, 0); }
+    Event back() const { return at(S->size() - 1, numMessages() - 1); }
 
     /// Direct column access for bandwidth-sensitive passes that only
-    /// touch a subset of the event fields.
+    /// touch a subset of the event fields.  times(), kinds() and ids()
+    /// hold one entry per event; messageBytes() holds numMessages()
+    /// entries, one per message event in event order, so a reader walks
+    /// it with a cursor it advances at each message.
     const double *times() const { return S->Times.data(); }
     const EventKind *kinds() const { return S->Kinds.data(); }
     const uint32_t *ids() const { return S->Ids.data(); }
-    const uint64_t *bytes() const { return S->Bytes.data(); }
+    const uint64_t *messageBytes() const { return S->MessageBytes.data(); }
+    size_t numMessages() const { return S->MessageBytes.size(); }
 
     class iterator {
     public:
@@ -157,15 +160,17 @@ public:
       using reference = Event;
 
       iterator() = default;
-      iterator(const EventsRef *Ref, size_t I) : Ref(Ref), I(I) {}
-      Event operator*() const { return (*Ref)[I]; }
+      iterator(const EventsRef *Ref, size_t I, size_t M)
+          : Ref(Ref), I(I), M(M) {}
+      Event operator*() const { return Ref->at(I, M); }
       iterator &operator++() {
+        M += isMessage(Ref->S->Kinds[I]);
         ++I;
         return *this;
       }
       iterator operator++(int) {
         iterator Old = *this;
-        ++I;
+        ++*this;
         return Old;
       }
       bool operator==(const iterator &O) const { return I == O.I; }
@@ -173,15 +178,23 @@ public:
 
     private:
       const EventsRef *Ref = nullptr;
-      size_t I = 0;
+      size_t I = 0; ///< The event.
+      size_t M = 0; ///< The messages before it.
     };
 
-    iterator begin() const { return iterator(this, 0); }
-    iterator end() const { return iterator(this, S->size()); }
+    iterator begin() const { return iterator(this, 0, 0); }
+    iterator end() const { return iterator(this, S->size(), numMessages()); }
 
   private:
     friend class Trace;
     EventsRef(const Stream *S, uint32_t Proc) : S(S), Proc(Proc) {}
+    /// Event \p I, which has \p M message events before it (\p M is
+    /// read only when event \p I is a message).
+    Event at(size_t I, size_t M) const {
+      const EventKind Kind = S->Kinds[I];
+      return {S->Times[I], Proc, Kind, S->Ids[I],
+              isMessage(Kind) ? S->MessageBytes[M] : 0};
+    }
     const Stream *S;
     uint32_t Proc;
   };
@@ -191,13 +204,15 @@ public:
   /// writer is responsible for range-validating ids (append's asserts
   /// are bypassed), and it must write every slot resizeStream added or
   /// cut the unwritten ones off: until written, a slot holds no defined
-  /// value.  Slots left behind by dropped records are closed up by
-  /// sliding the later events down, then truncateStream.
+  /// value.  A message event's byte count goes to the message column,
+  /// at its position among the stream's message events.  Slots left
+  /// behind by dropped records are closed up by sliding the later
+  /// events (and, apart, their messages) down, then resizeStream.
   struct StreamColumns {
     double *Times;
     EventKind *Kinds;
     uint32_t *Ids;
-    uint64_t *Bytes;
+    uint64_t *MessageBytes;
 
     /// Moves the \p N events at slot \p From down to slot \p To.
     void slide(uint64_t To, uint64_t From, uint64_t N) const {
@@ -206,7 +221,13 @@ public:
       std::memmove(Times + To, Times + From, N * sizeof(*Times));
       std::memmove(Kinds + To, Kinds + From, N * sizeof(*Kinds));
       std::memmove(Ids + To, Ids + From, N * sizeof(*Ids));
-      std::memmove(Bytes + To, Bytes + From, N * sizeof(*Bytes));
+    }
+    /// Moves the \p N message byte counts at slot \p From down to slot
+    /// \p To of the message column.
+    void slideMessages(uint64_t To, uint64_t From, uint64_t N) const {
+      if (N != 0 && To != From)
+        std::memmove(MessageBytes + To, MessageBytes + From,
+                     N * sizeof(*MessageBytes));
     }
   };
 
@@ -240,23 +261,26 @@ public:
   uint32_t findRegion(std::string_view Name) const;
   uint32_t findActivity(std::string_view Name) const;
 
-  /// Appends \p E to its processor's stream.  Asserts on out-of-range
+  /// Appends \p E to its processor's stream, with its byte count only
+  /// if it is a message.  Asserts on out-of-range
   /// processor/region/activity ids.
   void append(const Event &E);
 
   /// Events of processor \p Proc in append order.
   EventsRef events(unsigned Proc) const;
 
-  /// Pre-sizes processor \p Proc's stream to exactly \p N events so a
-  /// bulk decoder can fill the columns in place via streamColumns.
-  /// Existing events are kept for indices below \p N; slots past the
-  /// old size are left unwritten (see StreamColumns for the decoder's
-  /// duty).  Only the bulk decoders call this.
-  void resizeStream(unsigned Proc, size_t N);
+  /// Sizes processor \p Proc's stream to exactly \p N events and its
+  /// message column to exactly \p Messages byte counts, so a bulk
+  /// decoder can fill the columns in place via streamColumns.  Existing
+  /// entries are kept below the new sizes; slots past the old sizes are
+  /// left unwritten (see StreamColumns for the decoder's duty).  Only
+  /// the bulk decoders call this: before the decode, and again to cut
+  /// the stream to what the decode kept.
+  void resizeStream(unsigned Proc, size_t N, size_t Messages);
 
-  /// Shrinks processor \p Proc's stream to its first \p N events (used
-  /// after a lenient bulk decode dropped records out of a pre-sized
-  /// stream).
+  /// Shrinks processor \p Proc's stream to its first \p N events, and
+  /// its message column to the messages among them (used to roll back
+  /// events appended past a point).
   void truncateStream(unsigned Proc, size_t N);
 
   /// Mutable columns of processor \p Proc's stream.  Pointers are

@@ -28,10 +28,12 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TestHelpers.h"
 #include "TraceCompare.h"
 #include "support/Checksum.h"
 #include "support/FileUtils.h"
 #include "support/ParseLimits.h"
+#include "trace/BinaryDetail.h"
 #include "trace/BinaryIO.h"
 #include "trace/ParallelBinary.h"
 #include "trace/TraceIO.h"
@@ -81,6 +83,54 @@ Trace makeTrace(unsigned Procs, unsigned Rounds, bool Dirty) {
     T.append({Time + 0.1, P, EventKind::RegionExit, Main, 0});
   }
   return T;
+}
+
+/// Four processors whose messages sit at the message column's edges:
+/// processor 0 logs nothing but messages, processor 1 no message, and
+/// the streams of processors 2 and 3 start and end with a message.
+/// When \p Dirty, processor 3's first and last events and every third
+/// send of processor 0 have negative times, so lenient mode drops
+/// messages at run boundaries and, in small blocks, at block seams.
+Trace makeMessageEdgeTrace(unsigned Rounds, bool Dirty) {
+  Trace T(4);
+  uint32_t Main = T.addRegion("main");
+  uint32_t Comp = T.addActivity("computation");
+  const double Bad = -1.0;
+  for (unsigned P = 0; P != 4; ++P) {
+    double Time = 0.0;
+    if (P == 2)
+      T.append({Time, P, EventKind::MessageSend, 3, 7});
+    if (P == 3)
+      T.append({Dirty ? Bad : Time, P, EventKind::MessageSend, 0, 9});
+    for (unsigned R = 0; R != Rounds; ++R) {
+      if (P == 0) {
+        Time += 0.1;
+        T.append({Dirty && R % 3 == 1 ? Bad : Time, P,
+                  EventKind::MessageSend, 1, 64 + R});
+        T.append({Time += 0.1, P, EventKind::MessageRecv, 3, 128 + R});
+        continue;
+      }
+      T.append({Time += 0.1, P, EventKind::RegionEnter, Main, 0});
+      T.append({Time, P, EventKind::ActivityBegin, Comp, 0});
+      T.append({Time += 0.5, P, EventKind::ActivityEnd, Comp, 0});
+      T.append({Time, P, EventKind::RegionExit, Main, 0});
+    }
+    if (P == 2)
+      T.append({Time + 0.1, P, EventKind::MessageRecv, 1, 11});
+    if (P == 3)
+      T.append({Dirty ? Bad : Time + 0.1, P, EventKind::MessageRecv, 2, 13});
+  }
+  return T;
+}
+
+/// The traces every block size and thread count is checked on.
+std::vector<std::pair<std::string, Trace>> equivalenceTraces() {
+  std::vector<std::pair<std::string, Trace>> Traces;
+  Traces.emplace_back("clean", makeTrace(4, 20, false));
+  Traces.emplace_back("dirty", makeTrace(4, 20, true));
+  Traces.emplace_back("message-edges", makeMessageEdgeTrace(20, false));
+  Traces.emplace_back("message-edges-dirty", makeMessageEdgeTrace(20, true));
+  return Traces;
 }
 
 /// One parse outcome, flattened for comparison.
@@ -192,8 +242,7 @@ std::string withInconsistentIndex(std::string V2) {
 } // namespace
 
 TEST(BinaryEquivalenceTest, V2ThreadCountsAreBitIdentical) {
-  for (bool Dirty : {false, true}) {
-    Trace T = makeTrace(4, 20, Dirty);
+  for (const auto &[Name, T] : equivalenceTraces()) {
     for (size_t BlockEvents : {size_t(3), size_t(16), size_t(1) << 16}) {
       trace::BinaryWriteOptions W;
       W.BlockEvents = BlockEvents;
@@ -201,8 +250,7 @@ TEST(BinaryEquivalenceTest, V2ThreadCountsAreBitIdentical) {
       for (ParseMode Mode : {ParseMode::Strict, ParseMode::Lenient}) {
         Outcome Ref = runParse(V2, Mode, 1);
         for (unsigned Threads : {2u, 8u}) {
-          std::string What = std::string("dirty=") + (Dirty ? "1" : "0") +
-                             " block=" + std::to_string(BlockEvents) +
+          std::string What = Name + " block=" + std::to_string(BlockEvents) +
                              " mode=" +
                              (Mode == ParseMode::Strict ? "strict"
                                                         : "lenient") +
@@ -215,18 +263,16 @@ TEST(BinaryEquivalenceTest, V2ThreadCountsAreBitIdentical) {
 }
 
 TEST(BinaryEquivalenceTest, V2MatchesV1OnTheSameLogicalTrace) {
-  for (bool Dirty : {false, true}) {
-    Trace T = makeTrace(4, 20, Dirty);
+  for (const auto &[Name, T] : equivalenceTraces()) {
     std::string V1 = writeTraceBinaryV1(T);
-    for (size_t BlockEvents : {size_t(5), size_t(1) << 16}) {
+    for (size_t BlockEvents : {size_t(3), size_t(5), size_t(1) << 16}) {
       trace::BinaryWriteOptions W;
       W.BlockEvents = BlockEvents;
       std::string V2 = writeTraceBinary(T, W);
       for (ParseMode Mode : {ParseMode::Strict, ParseMode::Lenient}) {
         Outcome Ref = runParse(V1, Mode, 1);
         for (unsigned Threads : {1u, 2u, 8u}) {
-          std::string What = std::string("dirty=") + (Dirty ? "1" : "0") +
-                             " block=" + std::to_string(BlockEvents) +
+          std::string What = Name + " block=" + std::to_string(BlockEvents) +
                              " mode=" +
                              (Mode == ParseMode::Strict ? "strict"
                                                         : "lenient") +
@@ -271,34 +317,84 @@ TEST(BinaryEquivalenceTest, IndexlessSalvageMatchesIndexedDecode) {
 
 TEST(BinaryEquivalenceTest, PayloadDamageUnderValidIndexIsBlockScoped) {
   Trace T = makeTrace(3, 12, false);
-  trace::BinaryWriteOptions W;
-  W.BlockEvents = 7;
-  std::string V2 = writeTraceBinary(T, W);
   size_t Total = T.numEvents();
+  // Two damages to the block holding the file's middle byte, the index
+  // staying valid: a flipped payload byte, which the block CRC catches
+  // before a record is decoded, and, in a file without CRCs, a nudged
+  // first time, which the index check catches once every run of the
+  // block has been decoded.
+  for (bool Crc : {true, false}) {
+    trace::BinaryWriteOptions W;
+    W.BlockEvents = 7;
+    W.BlockCrc = Crc;
+    std::string V2 = writeTraceBinary(T, W);
+    const std::string Shape = Crc ? "crc" : "first-time";
+    const size_t Hit = indexStart(V2) / 2;
+    trace::detail::BinaryHeader H;
+    std::optional<Trace> Tables;
+    uint64_t AllocBytes = 0;
+    ASSERT_FALSE(testutil::failed(
+        trace::detail::parseBinaryHeader(V2, {}, H, Tables, AllocBytes)));
+    std::optional<trace::detail::BinaryIndex> Idx =
+        trace::detail::readBinaryIndex(V2, H);
+    ASSERT_TRUE(Idx.has_value());
+    uint64_t First = 0;
+    const trace::detail::BlockInfo *Blk = nullptr;
+    for (const trace::detail::BlockInfo &B : Idx->Blocks) {
+      if (Hit < B.Offset + B.Bytes) {
+        Blk = &B;
+        break;
+      }
+      First += B.Events;
+    }
+    ASSERT_NE(Blk, nullptr);
 
-  // Flip one payload byte in the middle of the file: the block CRC
-  // catches it, the index stays valid.
-  std::string Damaged = V2;
-  size_t Hit = indexStart(V2) / 2;
-  Damaged[Hit] ^= 0x40;
+    std::string Damaged = V2;
+    if (Crc)
+      Damaged[Hit] ^= 0x40;
+    else // The lowest byte of the time after three one-byte varints.
+      Damaged[Blk->Offset + 3] ^= 0x01;
 
-  Outcome Strict = runParse(Damaged, ParseMode::Strict, 2);
-  ASSERT_FALSE(Strict.Ok);
-  EXPECT_EQ(Strict.Err.Code, ErrorCode::MalformedRecord);
+    Outcome Strict = runParse(Damaged, ParseMode::Strict, 1);
+    ASSERT_FALSE(Strict.Ok) << Shape;
+    EXPECT_EQ(Strict.Err.Code, ErrorCode::MalformedRecord) << Shape;
+    for (unsigned Threads : {2u, 8u})
+      expectIdenticalOutcome(Strict,
+                             runParse(Damaged, ParseMode::Strict, Threads),
+                             Shape + " strict threads=" +
+                                 std::to_string(Threads));
 
-  Outcome Ref = runParse(Damaged, ParseMode::Lenient, 1);
-  ASSERT_TRUE(Ref.Ok);
-  EXPECT_GT(Ref.Report.DroppedRecords, 0u);
-  // Whole blocks drop: the loss is a multiple of the block size (the
-  // final block may be short, but a mid-file hit lands in a full one).
-  EXPECT_EQ(Ref.Report.DroppedRecords % 7, 0u);
-  EXPECT_LT(Ref.Report.DroppedRecords, Total);
-  EXPECT_EQ(Ref.Report.TotalRecords, Total);
-  EXPECT_EQ(Ref.Report.DroppedByCode[size_t(ErrorCode::MalformedRecord)],
-            Ref.Report.DroppedRecords);
-  for (unsigned Threads : {2u, 8u})
-    expectIdenticalOutcome(Ref, runParse(Damaged, ParseMode::Lenient, Threads),
-                           "threads=" + std::to_string(Threads));
+    Outcome Ref = runParse(Damaged, ParseMode::Lenient, 1);
+    ASSERT_TRUE(Ref.Ok) << Shape;
+    // The whole block drops, and a mid-file hit lands in a full one
+    // (only the final block may be short).
+    EXPECT_EQ(Ref.Report.DroppedRecords, Blk->Events) << Shape;
+    EXPECT_EQ(Ref.Report.DroppedRecords, 7u) << Shape;
+    EXPECT_EQ(Ref.Report.TotalRecords, Total) << Shape;
+    EXPECT_EQ(Ref.Report.DroppedByCode[size_t(ErrorCode::MalformedRecord)],
+              Ref.Report.DroppedRecords)
+        << Shape;
+
+    // The trace is T without the block's events, messages included:
+    // the block's runs leave no message behind.
+    Trace Expected = *Tables;
+    uint64_t At = 0;
+    bool DropsMessage = false;
+    for (unsigned P = 0; P != T.numProcs(); ++P)
+      for (const Event &E : T.events(P)) {
+        if (At < First || At >= First + Blk->Events)
+          Expected.append(E);
+        else
+          DropsMessage |= trace::isMessage(E.Kind);
+        ++At;
+      }
+    EXPECT_TRUE(DropsMessage) << Shape;
+    EXPECT_TRUE(testutil::sameEventColumns(*Ref.Parsed, Expected)) << Shape;
+    for (unsigned Threads : {2u, 8u})
+      expectIdenticalOutcome(Ref,
+                             runParse(Damaged, ParseMode::Lenient, Threads),
+                             Shape + " threads=" + std::to_string(Threads));
+  }
 }
 
 TEST(BinaryEquivalenceTest, CheckedInCorruptFixturesFollowTheMatrix) {

@@ -13,14 +13,18 @@
 // status (accepted, value failure, framing failure), the bytes
 // consumed, the decoded values, and the error's code, offset and
 // message.  The two varint edges also ship as fuzz seeds; the readers'
-// verdicts on them are pinned at the end.
+// verdicts on them are pinned at the end, and so is what every reader
+// does with the byte count of a record that is not a message.
 //
 //===----------------------------------------------------------------------===//
 
 #include "BinaryRecordReference.h"
+#include "TraceCompare.h"
+#include "support/Checksum.h"
 #include "support/FileUtils.h"
 #include "trace/BinaryDetail.h"
 #include "trace/BinaryIO.h"
+#include "trace/ParallelBinary.h"
 #include "gtest/gtest.h"
 #include <cstring>
 #include <limits>
@@ -268,6 +272,196 @@ TEST(BinaryRecordTest, VarintEdgeSeedsParse) {
             Report.DroppedRecords);
   EXPECT_EQ(Salvaged.numEvents() + Report.DroppedRecords, Ten.numEvents());
   EXPECT_EQ(Report.TotalRecords, Ten.numEvents());
+}
+
+template <typename T> void appendScalar(std::string &Out, T Value) {
+  char Buf[sizeof(T)];
+  std::memcpy(Buf, &Value, sizeof(T));
+  Out.append(Buf, sizeof(T));
+}
+
+void appendName(std::string &Out, std::string_view Name) {
+  appendScalar<uint32_t>(Out, static_cast<uint32_t>(Name.size()));
+  Out += Name;
+}
+
+/// A LIMB file over makeTables()'s names in which processor P logs the
+/// records \p Procs[P] (at least one each): version 1, or version 2 as
+/// one block without a CRC, with its index and footer when \p Indexed.
+std::string limbFile(uint32_t Version, bool Indexed,
+                     const std::vector<std::vector<std::string>> &Procs) {
+  std::string Out(BinaryMagic, sizeof(BinaryMagic));
+  appendScalar<uint32_t>(Out, Version);
+  if (Version == BinaryVersion2)
+    appendScalar<uint32_t>(Out, 0);
+  appendScalar<uint32_t>(Out, static_cast<uint32_t>(Procs.size()));
+  appendScalar<uint32_t>(Out, 2);
+  appendName(Out, "main");
+  appendName(Out, "loop");
+  appendScalar<uint32_t>(Out, 2);
+  appendName(Out, "computation");
+  appendName(Out, "p2p");
+  if (Version == BinaryVersion1) {
+    for (const std::vector<std::string> &Records : Procs) {
+      appendScalar<uint64_t>(Out, Records.size());
+      for (const std::string &Rec : Records)
+        Out += Rec;
+    }
+    return Out;
+  }
+  uint32_t Total = 0;
+  for (const std::vector<std::string> &Records : Procs)
+    Total += static_cast<uint32_t>(Records.size());
+  appendScalar<uint64_t>(Out, Total);
+  const uint64_t BlockStart = Out.size();
+  appendVarint(Out, Procs.size());
+  for (size_t P = 0; P != Procs.size(); ++P) {
+    appendVarint(Out, P);
+    appendVarint(Out, Procs[P].size());
+    for (const std::string &Rec : Procs[P])
+      Out += Rec;
+  }
+  if (!Indexed)
+    return Out;
+  auto timeOf = [](const std::string &Rec) {
+    double Time;
+    std::memcpy(&Time, Rec.data(), sizeof(double));
+    return Time;
+  };
+  std::string Index;
+  appendScalar<uint32_t>(Index, 1);
+  appendScalar<uint64_t>(Index, BlockStart);
+  appendScalar<uint32_t>(Index, static_cast<uint32_t>(Out.size() - BlockStart));
+  appendScalar<uint32_t>(Index, Total);
+  appendScalar<double>(Index, timeOf(Procs.front().front()));
+  appendScalar<double>(Index, timeOf(Procs.back().back()));
+  appendScalar<uint32_t>(Index, 0);
+  appendScalar<uint32_t>(Index, static_cast<uint32_t>(Procs.size()));
+  for (size_t P = 0; P != Procs.size(); ++P) {
+    appendScalar<uint32_t>(Index, static_cast<uint32_t>(P));
+    appendScalar<uint32_t>(Index, static_cast<uint32_t>(Procs[P].size()));
+  }
+  const uint64_t IndexStart = Out.size();
+  Out += Index;
+  appendScalar<uint64_t>(Out, IndexStart);
+  appendScalar<uint32_t>(Out, static_cast<uint32_t>(Index.size()));
+  appendScalar<uint32_t>(Out, crc32(Index));
+  Out.append(BinaryFooterMagic, sizeof(BinaryFooterMagic));
+  return Out;
+}
+
+/// Three processors' records in which every region and activity record
+/// carries the byte count \p N and the two messages carry 300.  With
+/// \p Bad, processor 1's activity begin has a negative time.
+std::vector<std::vector<std::string>> countedRecords(uint64_t N, bool Bad) {
+  const uint8_t Re = kindByte(EventKind::RegionEnter);
+  const uint8_t Rx = kindByte(EventKind::RegionExit);
+  const uint8_t Ab = kindByte(EventKind::ActivityBegin);
+  const uint8_t Ae = kindByte(EventKind::ActivityEnd);
+  return {{record(0.0, Re, 0, N), record(0.5, Ab, 0, N),
+           record(1.0, kindByte(EventKind::MessageSend), 1, 300),
+           record(1.5, Ae, 0, N), record(2.0, Rx, 0, N)},
+          {record(0.0, Re, 0, N),
+           record(1.25, kindByte(EventKind::MessageRecv), 0, 300),
+           record(Bad ? -1.0 : 1.5, Ab, 1, N), record(1.75, Ae, 1, N),
+           record(2.0, Rx, 0, N)},
+          {record(0.0, Re, 1, N), record(0.25, Ab, 0, N),
+           record(0.75, Ae, 0, N), record(1.0, Rx, 1, N)}};
+}
+
+/// What one parse returned: the trace, or the error, and the report.
+struct Parsed {
+  std::optional<Trace> T;
+  ParseError Err;
+  ParseReport Report;
+};
+
+Parsed parseLimb(std::string_view Data, ParseMode Mode, unsigned Threads) {
+  Parsed Out;
+  ParseOptions Options;
+  Options.Mode = Mode;
+  Options.Report = Mode == ParseMode::Lenient ? &Out.Report : nullptr;
+  Expected<Trace> T = trace::parseTraceBinaryParallel(Data, Options, Threads);
+  if (T)
+    Out.T.emplace(std::move(*T));
+  else
+    Out.Err = T.takeError().toParseError();
+  return Out;
+}
+
+TEST(BinaryRecordTest, NonMessageByteCountsReadBackAsZero) {
+  // Only ms and mr records keep their byte count.  Any other record's
+  // count is still read and framed, so it may be any varint, but the
+  // event reads back with 0, and the file parses to exactly what the
+  // same file with counts of 0 parses to: the same columns, verdict
+  // (code, offset, message) and report.  One-byte counts keep every
+  // offset of the two files equal.
+  const struct {
+    const char *Name;
+    uint32_t Version;
+    bool Indexed;
+  } Shapes[] = {{"v1", BinaryVersion1, false},
+                {"v2-indexed", BinaryVersion2, true},
+                {"v2-walked", BinaryVersion2, false}};
+  for (const auto &Shape : Shapes)
+    for (uint64_t N : {uint64_t(42), uint64_t(300), UINT64_MAX})
+      for (bool Bad : {false, true}) {
+        if (Bad && N >= 0x80)
+          continue;
+        std::string Zero =
+            limbFile(Shape.Version, Shape.Indexed, countedRecords(0, Bad));
+        std::string Counted =
+            limbFile(Shape.Version, Shape.Indexed, countedRecords(N, Bad));
+        for (ParseMode Mode : {ParseMode::Strict, ParseMode::Lenient})
+          for (unsigned Threads : {1u, 2u}) {
+            std::string What = std::string(Shape.Name) + " bytes " +
+                               std::to_string(N) + (Bad ? " bad" : "") +
+                               (Mode == ParseMode::Strict ? " strict"
+                                                          : " lenient") +
+                               " threads " + std::to_string(Threads);
+            Parsed Want = parseLimb(Zero, Mode, Threads);
+            Parsed Got = parseLimb(Counted, Mode, Threads);
+            ASSERT_EQ(Got.T.has_value(), Want.T.has_value()) << What;
+            EXPECT_EQ(Got.T.has_value(), Mode == ParseMode::Lenient || !Bad)
+                << What;
+            if (Got.T) {
+              EXPECT_TRUE(testutil::sameEventColumns(*Got.T, *Want.T))
+                  << What;
+              for (unsigned P = 0; P != Got.T->numProcs(); ++P)
+                for (const trace::Event &E : Got.T->events(P))
+                  EXPECT_EQ(E.Bytes, trace::isMessage(E.Kind) ? 300u : 0u)
+                      << What;
+              // A rewrite writes 0, and reads back the same columns.
+              std::string Rewritten = trace::writeTraceBinary(*Got.T);
+              EXPECT_EQ(Rewritten, trace::writeTraceBinary(*Want.T)) << What;
+              EXPECT_TRUE(testutil::sameEventColumns(
+                  cantFail(trace::parseTraceBinary(Rewritten)), *Got.T))
+                  << What;
+            } else {
+              EXPECT_EQ(Got.Err.Code, Want.Err.Code) << What;
+              EXPECT_EQ(Got.Err.Offset, Want.Err.Offset) << What;
+              EXPECT_EQ(Got.Err.Msg, Want.Err.Msg) << What;
+            }
+            EXPECT_EQ(Got.Report.TotalRecords, Want.Report.TotalRecords)
+                << What;
+            EXPECT_EQ(Got.Report.DroppedRecords, Want.Report.DroppedRecords)
+                << What;
+            EXPECT_EQ(Got.Report.DroppedRecords, Bad && Mode ==
+                                                     ParseMode::Lenient
+                                                     ? 1u
+                                                     : 0u)
+                << What;
+            ASSERT_EQ(Got.Report.Samples.size(), Want.Report.Samples.size())
+                << What;
+            for (size_t I = 0; I != Got.Report.Samples.size(); ++I) {
+              EXPECT_EQ(Got.Report.Samples[I].Offset,
+                        Want.Report.Samples[I].Offset)
+                  << What;
+              EXPECT_EQ(Got.Report.Samples[I].Msg, Want.Report.Samples[I].Msg)
+                  << What;
+            }
+          }
+      }
 }
 
 } // namespace

@@ -165,6 +165,49 @@ std::string makeGroupedBigTrace(size_t Rounds) {
   return Text;
 }
 
+/// Processor-grouped rounds that put message events at the message
+/// column's edges: processor 0's stream (and processor 3's) starts with
+/// a receive and ends with a send, processor 1 logs no message and
+/// processor 2 nothing but messages.  Each processor's text is about a
+/// quarter of the event section, so processor 2 holds the shard seams
+/// at 1/2, 5/8 and 2/3 of it (2, 8 and 3 threads).
+std::string makeMessageEdgeTrace(size_t Rounds) {
+  std::string Text = "LIMATRACE 1\nprocs 4\nregion 0 main\n"
+                     "activity 0 compute\n";
+  char Buf[256];
+  for (unsigned P = 0; P != 4; ++P) {
+    const unsigned Peer = (P + 1) % 4;
+    double T = 0.0;
+    for (size_t I = 0; I != Rounds; ++I) {
+      T += 0.001;
+      const unsigned Bytes = 64 + static_cast<unsigned>(I % 97);
+      if (P == 1)
+        std::snprintf(Buf, sizeof(Buf),
+                      "re %u %.6f 0\nab %u %.6f 0\nae %u %.6f 0\n"
+                      "ab %u %.6f 0\nae %u %.6f 0\nrx %u %.6f 0\n",
+                      P, T, P, T + 0.1, P, T + 0.2, P, T + 0.3, P, T + 0.4,
+                      P, T + 0.5);
+      else if (P == 2)
+        std::snprintf(Buf, sizeof(Buf),
+                      "ms %u %.6f %u %u\nmr %u %.6f %u %u\n"
+                      "ms %u %.6f %u %u\nmr %u %.6f %u %u\n"
+                      "ms %u %.6f %u %u\nmr %u %.6f %u %u\n",
+                      P, T, Peer, Bytes, P, T + 0.1, Peer, Bytes + 1, P,
+                      T + 0.2, Peer, Bytes + 2, P, T + 0.3, Peer, Bytes + 3,
+                      P, T + 0.4, Peer, Bytes + 4, P, T + 0.5, Peer,
+                      Bytes + 5);
+      else
+        std::snprintf(Buf, sizeof(Buf),
+                      "mr %u %.6f %u %u\nre %u %.6f 0\nab %u %.6f 0\n"
+                      "ae %u %.6f 0\nrx %u %.6f 0\nms %u %.6f %u %u\n",
+                      P, T, Peer, Bytes, P, T + 0.1, P, T + 0.2, P, T + 0.3,
+                      P, T + 0.4, P, T + 0.5, Peer, Bytes + 1);
+      Text += Buf;
+    }
+  }
+  return Text;
+}
+
 /// \p Text with a bad event line after every 163rd line, alternating a
 /// bad number and an unknown record type: more than
 /// ParseReport::MaxSamples drops, scattered over every shard.
@@ -496,6 +539,9 @@ TEST(IngestEquivalence, BigValidTraceShards) {
   Text = makeGroupedBigTrace(700); // ~0.5 MB, 17500 events
   ASSERT_GT(Text.size(), size_t(64) * 1024);
   expectEquivalent(Text, "big-grouped");
+  Text = makeMessageEdgeTrace(250); // ~0.1 MB, 6000 events
+  ASSERT_GT(Text.size(), size_t(64) * 1024);
+  expectEquivalent(Text, "big-message-edges");
 }
 
 TEST(IngestEquivalence, BigTraceStrictErrorDeepInside) {
@@ -517,18 +563,20 @@ TEST(IngestEquivalence, BigTraceLenientScatteredDrops) {
                    "big-grouped-lenient-drops");
 }
 
-/// \p Text (a makeBigTrace or makeGroupedBigTrace trace of \p NumProcs
-/// processors) with lines broken so that they still name their
-/// processor but fail a later field — "zz 2 1.0 0", "re 2 bogus 0" or
-/// one field short — at the seams of the sharded parse: the first and
-/// last line of every shard at 2, 3 and 8 threads (the parser's shard
-/// formula; its per-processor cap is never reached here), and the first
-/// and last event line of every processor.  A processor without events
-/// gets one broken line of its own.  Every edit keeps the line's
-/// length, so the shard boundaries stay where they were computed.
+/// \p Text (a makeBigTrace, makeGroupedBigTrace or makeMessageEdgeTrace
+/// trace of \p NumProcs processors) with lines broken so that they
+/// still name their processor but fail a later field — "zz 2 1.0 0",
+/// "re 2 bogus 0" or one field short — at the seams of the sharded
+/// parse: the first and last line of every shard at 2, 3 and 8 threads
+/// (the parser's shard formula; its per-processor cap is never reached
+/// here), and the first and last event line of every processor.  A
+/// processor without events gets one broken line of its own.  Every
+/// edit keeps the line's length, so the shard boundaries stay where
+/// they were computed.
 /// Returns the number of broken lines in \p Broken.
 std::string breakSeams(std::string Text, unsigned NumProcs, size_t &Broken) {
-  const size_t EvStart = Text.find("\nre ") + 1;
+  const std::string LastDeclaration = "\nactivity 0 compute\n";
+  const size_t EvStart = Text.find(LastDeclaration) + LastDeclaration.size();
   auto lineStartBefore = [&](size_t Pos) {
     return Text.rfind('\n', Pos - 2) + 1;
   };
@@ -590,21 +638,29 @@ TEST(IngestEquivalence, ShortSlicesCompactInShardOrder) {
   // Pass A counts the broken lines, pass B drops them (lenient) or
   // stops at the first (strict): the slices they leave short must
   // close up to exactly the sequential parse, at every thread count.
-  for (bool Grouped : {false, true}) {
+  // On the message-edge trace most seams are message lines, so the
+  // message slices are left short too.
+  const struct {
+    const char *Name;
+    std::string Text;
+    unsigned NumProcs;
+  } Rows[] = {
+      {"broken-seams", makeBigTrace(800), 4},
+      {"broken-seams-grouped", makeGroupedBigTrace(700), 6},
+      {"broken-seams-messages", makeMessageEdgeTrace(250), 4},
+  };
+  for (const auto &Row : Rows) {
     size_t Broken = 0;
-    std::string Text =
-        Grouped ? breakSeams(makeGroupedBigTrace(700), 6, Broken)
-                : breakSeams(makeBigTrace(800), 4, Broken);
+    std::string Text = breakSeams(Row.Text, Row.NumProcs, Broken);
     Outcome Lenient = runParse(Text, ParseMode::Lenient, 0);
     ASSERT_TRUE(Lenient.Ok);
     EXPECT_EQ(Lenient.Report.DroppedRecords, Broken);
-    expectEquivalent(Text, Grouped ? "broken-seams-grouped" : "broken-seams",
-                     {1, 2, 3, 8});
+    expectEquivalent(Text, Row.Name, {1, 2, 3, 8});
   }
 }
 
 TEST(IngestEquivalence, WideProcessorTableParsesUnsharded) {
-  // Every shard keeps three counters for every declared processor.
+  // Every shard keeps six counters for every declared processor.
   // With 100000 processors over half a megabyte of events those would
   // outweigh the text, so the parser must not shard — while the same
   // events under 4 processors do shard (lima.ingest.shards counts the

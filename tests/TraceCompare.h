@@ -8,7 +8,8 @@
 /// The bit-exact oracle of the equivalence suites.  Comparing traces
 /// through writeTraceText only sees times as "%.9f" prints them, so two
 /// parsers one ulp apart would still agree; sameEventColumns compares
-/// each processor's time, kind, id and bytes columns with memcmp.  The
+/// each processor's time, kind and id columns and its message byte
+/// column (one count per message event) with memcmp.  The
 /// text comparison stays next to it for readable failure messages, and
 /// sameTraceText keeps those short on large traces.
 ///
@@ -35,8 +36,8 @@ inline std::string exactTime(double T) {
 }
 
 /// Success when \p A and \p B hold the same processors with
-/// byte-identical event columns; otherwise names the first event that
-/// differs.
+/// byte-identical event and message columns; otherwise names the first
+/// event that differs.
 inline ::testing::AssertionResult
 sameEventColumns(const trace::Trace &A, const trace::Trace &B) {
   if (A.numProcs() != B.numProcs())
@@ -49,24 +50,32 @@ sameEventColumns(const trace::Trace &A, const trace::Trace &B) {
       return ::testing::AssertionFailure()
              << "proc " << Proc << ": " << EA.size() << " vs " << EB.size()
              << " events";
-    size_t N = EA.size();
+    size_t N = EA.size(), M = EA.numMessages();
+    if (M != EB.numMessages())
+      return ::testing::AssertionFailure()
+             << "proc " << Proc << ": " << M << " vs " << EB.numMessages()
+             << " messages";
     if (N == 0 ||
         (std::memcmp(EA.times(), EB.times(), N * sizeof(double)) == 0 &&
          std::memcmp(EA.kinds(), EB.kinds(), N * sizeof(trace::EventKind)) ==
              0 &&
          std::memcmp(EA.ids(), EB.ids(), N * sizeof(uint32_t)) == 0 &&
-         std::memcmp(EA.bytes(), EB.bytes(), N * sizeof(uint64_t)) == 0))
+         (M == 0 || std::memcmp(EA.messageBytes(), EB.messageBytes(),
+                                M * sizeof(uint64_t)) == 0)))
       continue;
-    for (size_t I = 0; I != N; ++I) {
-      trace::Event X = EA[I], Y = EB[I];
-      if (std::memcmp(&X.Time, &Y.Time, sizeof(double)) != 0 ||
-          X.Kind != Y.Kind || X.Id != Y.Id || X.Bytes != Y.Bytes)
+    // The walk reads a count only at a message, and it stops at the
+    // first kinds that differ, so neither side reads past its messages.
+    size_t I = 0;
+    for (auto X = EA.begin(), Y = EB.begin(); X != EA.end(); ++X, ++Y, ++I) {
+      trace::Event EX = *X, EY = *Y;
+      if (std::memcmp(&EX.Time, &EY.Time, sizeof(double)) != 0 ||
+          EX.Kind != EY.Kind || EX.Id != EY.Id || EX.Bytes != EY.Bytes)
         return ::testing::AssertionFailure()
                << "proc " << Proc << " event " << I << " differs: time "
-               << exactTime(X.Time) << " vs " << exactTime(Y.Time) << ", kind "
-               << int(X.Kind) << " vs " << int(Y.Kind) << ", id " << X.Id
-               << " vs " << Y.Id << ", bytes " << X.Bytes << " vs "
-               << Y.Bytes;
+               << exactTime(EX.Time) << " vs " << exactTime(EY.Time)
+               << ", kind " << int(EX.Kind) << " vs " << int(EY.Kind)
+               << ", id " << EX.Id << " vs " << EY.Id << ", bytes "
+               << EX.Bytes << " vs " << EY.Bytes;
     }
   }
   return ::testing::AssertionSuccess();

@@ -366,11 +366,11 @@ TEST(TraceIOTest, RoundTripsExactly) {
     const auto &A = T.events(P);
     const auto &B = Parsed.events(P);
     ASSERT_EQ(A.size(), B.size());
-    for (size_t I = 0; I != A.size(); ++I) {
-      EXPECT_EQ(A[I].Kind, B[I].Kind);
-      EXPECT_EQ(A[I].Id, B[I].Id);
-      EXPECT_EQ(A[I].Bytes, B[I].Bytes);
-      EXPECT_NEAR(A[I].Time, B[I].Time, 1e-9);
+    for (auto X = A.begin(), Y = B.begin(); X != A.end(); ++X, ++Y) {
+      EXPECT_EQ((*X).Kind, (*Y).Kind);
+      EXPECT_EQ((*X).Id, (*Y).Id);
+      EXPECT_EQ((*X).Bytes, (*Y).Bytes);
+      EXPECT_NEAR((*X).Time, (*Y).Time, 1e-9);
     }
   }
   // And the round-tripped trace still validates.
@@ -392,10 +392,11 @@ TEST(TraceIOTest, WritesTheLongestEventLinesInFull) {
   EXPECT_EQ(Text.find('\0'), std::string::npos);
   Trace Parsed = cantFail(parseTraceText(Text));
   ASSERT_EQ(Parsed.numEvents(), 2u);
-  for (unsigned P = 0; P != 2; ++P) {
-    EXPECT_EQ(Parsed.events(P)[0].Time, Max);
-    EXPECT_EQ(Parsed.events(P)[0].Bytes, UINT64_MAX);
-  }
+  for (unsigned P = 0; P != 2; ++P)
+    for (const Event &E : Parsed.events(P)) {
+      EXPECT_EQ(E.Time, Max);
+      EXPECT_EQ(E.Bytes, UINT64_MAX);
+    }
 }
 
 TEST(TraceIOTest, HeaderAndCommentsTolerated) {

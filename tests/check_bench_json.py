@@ -46,8 +46,11 @@ REQUIRED_ENVELOPE = {
     "records": list,
 }
 
+# A [lower, upper] pair of numbers: a confidence interval.
+INTERVAL = "interval"
+
 PARSE_LEG = {"strict_wall_ms": float, "lenient_wall_ms": float,
-             "overhead_pct": float}
+             "overhead_pct": float, "overhead_ci_pct": INTERVAL}
 
 INGEST_LEG = {"wall_ms": float, "events_per_s": float, "mb_per_s": float,
               "speedup_vs_legacy": float}
@@ -87,7 +90,14 @@ def check_object(obj, schema, where):
         if key not in obj:
             fail(f"{where}: missing key '{key}'")
         value = obj[key]
-        if kind is float:
+        if kind is INTERVAL:
+            if (not isinstance(value, list) or len(value) != 2 or
+                    any(not isinstance(v, (int, float)) or isinstance(v, bool)
+                        for v in value)):
+                fail(f"{where}.{key}: expected [lower, upper], got {value!r}")
+            if value[0] > value[1]:
+                fail(f"{where}.{key}: lower bound above upper: {value!r}")
+        elif kind is float:
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 fail(f"{where}.{key}: expected a number, got {value!r}")
             # Overheads can legitimately dip below zero (timing noise);
@@ -116,6 +126,7 @@ def validate(doc, path):
     check_object(ingest, {
         "events": int, "bytes": int, "fallback_bytes": int,
         "hardware_threads": int, "lenient_overhead_pct": float,
+        "lenient_overhead_ci_pct": INTERVAL,
         "lenient_overhead_target_pct": float, "lenient_overhead_ok": bool,
     }, "ingest")
     for leg in INGEST_LEGS:
