@@ -28,7 +28,9 @@
 // buffered serialize-then-save path against the crash-consistent
 // streaming writer (wall time, events/s, and the writer's peak
 // buffered bytes, which must stay a small fraction of the file — the
-// O(one block) memory claim), and an "http" object costing
+// O(one block) memory claim), a "text_write" object timing saveTrace
+// against the snprintf writer it replaced (tests/TextWriterReference.h,
+// whole file first, then writeFileAtomic), and an "http" object costing
 // the status server's /metrics exposition (render wall time over ~200
 // labeled series plus loopback scrape latency under writer load).
 // Every parallel result is checked bit-identical to its serial twin
@@ -38,6 +40,7 @@
 
 #include "BenchJson.h"
 #include "TextParserReference.h"
+#include "TextWriterReference.h"
 #include "cluster/KMeans.h"
 #include "core/Dashboard.h"
 #include "core/Pipeline.h"
@@ -867,6 +870,42 @@ int main(int Argc, char **Argv) {
       ", \"peak_buffered_ok\": " + (PeakBufferedOk ? "true" : "false") +
       "}";
 
+  // --- Text write ------------------------------------------------------
+  // saveTrace, which streams its lines into the atomic temporary,
+  // against the snprintf writer it replaced (TextWriterReference.h)
+  // building the whole file before writeFileAtomic, as saveTrace did.
+  // Same trace, same bytes, same fsyncs and rename.
+  std::string TextPath = Parser.getString("out") + ".text.trace";
+  double ReferenceSaveMs = timeMs(Reps, [&] {
+    ExitOnErr(writeFileAtomic(TextPath, testutil::writeTraceTextReference(T)));
+  });
+  double SaveMs =
+      timeMs(Reps, [&] { ExitOnErr(trace::saveTrace(T, TextPath)); });
+  std::remove(TextPath.c_str());
+  auto textWriteLeg = [&](const char *Name, double WallMs, double BaseMs) {
+    double EventsPerS = WallMs > 0.0 ? Events / (WallMs / 1e3) : 0.0;
+    double MbPerS =
+        WallMs > 0.0 ? TraceText.size() / 1e6 / (WallMs / 1e3) : 0.0;
+    double Speedup = WallMs > 0.0 ? BaseMs / WallMs : 0.0;
+    OS << "text write " << leftJustify(Name, 10) << formatFixed(WallMs, 2)
+       << " ms, " << formatFixed(EventsPerS / 1e6, 2) << " Mevents/s, "
+       << formatFixed(MbPerS, 1) << " MB/s, " << formatFixed(Speedup, 2)
+       << "x vs reference\n";
+    return "{\"wall_ms\": " + formatFixed(WallMs, 3) +
+           ", \"events_per_s\": " + formatFixed(EventsPerS, 0) +
+           ", \"mb_per_s\": " + formatFixed(MbPerS, 2) +
+           ", \"speedup_vs_reference\": " + formatFixed(Speedup, 3) + "}";
+  };
+  OS << '\n';
+  std::string ReferenceSaveJson =
+      textWriteLeg("reference", ReferenceSaveMs, ReferenceSaveMs);
+  std::string SaveJson = textWriteLeg("save", SaveMs, ReferenceSaveMs);
+  std::string TextWriteJson = "{\"events\": " + std::to_string(Events) +
+                              ", \"bytes\": " +
+                              std::to_string(TraceText.size()) +
+                              ", \"reference\": " + ReferenceSaveJson +
+                              ", \"save\": " + SaveJson + "}";
+
   bench::JsonFields Extra = {
       {"parse", "{\"events\": " + std::to_string(Events) +
                     ", \"text\": " + TextParse.Json +
@@ -874,6 +913,7 @@ int main(int Argc, char **Argv) {
       {"ingest", IngestJson},
       {"binary_ingest", BinaryIngestJson},
       {"streaming_write", StreamingWriteJson},
+      {"text_write", TextWriteJson},
       {"telemetry",
        std::string("{\"compiled\": ") +
            (LIMA_TELEMETRY ? "true" : "false") +

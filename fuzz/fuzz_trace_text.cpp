@@ -17,7 +17,11 @@
 //    each processor's slice by (a line it missed would be written past
 //    the slice), and counted as a message exactly when the event is an
 //    ms or mr (a message it missed would be written past the message
-//    slice).
+//    slice);
+//  - an event the generic path accepts must print, through
+//    scan::writeCanonicalEvent, exactly as snprintf's "%.9f" event line
+//    prints it; so must an event of every kind at the time the input's
+//    first 8 bytes spell, whatever double that is.
 // It also feeds the input to StreamParser whole and in chunks of 1-7
 // bytes, their sizes drawn from the input itself, in both modes, and
 // traps unless the two runs give bit-identical events, the same drop
@@ -44,6 +48,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <optional>
 #include <string_view>
@@ -58,6 +63,28 @@ bool sameEvent(const Event &A, const Event &B) {
   return std::memcmp(&A.Time, &B.Time, sizeof(double)) == 0 &&
          A.Proc == B.Proc && A.Kind == B.Kind && A.Id == B.Id &&
          A.Bytes == B.Bytes;
+}
+
+/// Traps unless scan::writeCanonicalEvent prints \p E as snprintf's
+/// "%.9f" event line (tests/TextWriterReference.h) does.
+void checkWriter(const Event &E) {
+  char Shipped[scan::MaxEventLineBytes];
+  size_t ShippedLen = static_cast<size_t>(
+      scan::writeCanonicalEvent(Shipped, E.Kind, E.Proc, E.Time, E.Id,
+                                E.Bytes) -
+      Shipped);
+  char Oracle[384];
+  const char *Mnemonic = eventKindMnemonic(E.Kind).data();
+  int Len = isMessage(E.Kind)
+                ? std::snprintf(Oracle, sizeof(Oracle),
+                                "%.*s %u %.9f %u %llu\n", 2, Mnemonic, E.Proc,
+                                E.Time, E.Id,
+                                static_cast<unsigned long long>(E.Bytes))
+                : std::snprintf(Oracle, sizeof(Oracle), "%.*s %u %.9f %u\n", 2,
+                                Mnemonic, E.Proc, E.Time, E.Id);
+  if (Len < 0 || static_cast<size_t>(Len) != ShippedLen ||
+      std::memcmp(Shipped, Oracle, ShippedLen) != 0)
+    __builtin_trap();
 }
 
 void checkLines(std::string_view Text) {
@@ -90,6 +117,8 @@ void checkLines(std::string_view Text) {
         (!scan::eventLineProcessor(Line, Tables.NumProcs, Proc, Message) ||
          Proc != Generic.Proc || Message != isMessage(Generic.Kind)))
       __builtin_trap();
+    if (!Failed)
+      checkWriter(Generic);
     Event Fast, InPlace;
     size_t FastEnd = 0, InPlaceEnd = 0;
     bool Accepted = scan::scanCanonicalEvent(Line, Tables, Fast, FastEnd);
@@ -253,6 +282,16 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t *Data, size_t Size) {
     checkFoldContract(*Lenient);
   Lenient.takeError().consume();
 
+  if (Size >= sizeof(double)) {
+    double Time;
+    std::memcpy(&Time, Data, sizeof(Time));
+    for (EventKind Kind :
+         {EventKind::RegionEnter, EventKind::RegionExit,
+          EventKind::ActivityBegin, EventKind::ActivityEnd,
+          EventKind::MessageSend, EventKind::MessageRecv})
+      checkWriter({Time, static_cast<uint32_t>(Size), Kind, UINT32_MAX,
+                   UINT64_MAX - Size});
+  }
   checkLines(Text);
   checkStreamChunks(Text);
   return 0;

@@ -7,6 +7,7 @@
 #include "support/FileUtils.h"
 #include "support/FaultInjection.h"
 #include "support/Retry.h"
+#include <cassert>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -14,6 +15,7 @@
 #include <fcntl.h>
 #include <string>
 #include <unistd.h>
+#include <utility>
 
 using namespace lima;
 
@@ -44,45 +46,65 @@ Error lima::writeFile(const std::string &Path, std::string_view Contents) {
   return Error::success();
 }
 
-Error lima::writeFileAtomic(const std::string &Path, std::string_view Contents,
-                            Durability Sync) {
+Expected<AtomicFile> AtomicFile::create(const std::string &Path) {
   // The temporary must live in the destination's directory: rename(2)
   // is only atomic within one filesystem.
   size_t Slash = Path.find_last_of('/');
-  std::string Dir = Slash == std::string::npos ? std::string(".")
-                                               : Path.substr(0, Slash);
   std::string Tmp = (Slash == std::string::npos
                          ? std::string()
                          : Path.substr(0, Slash + 1)) +
                     ".tmp." +
                     (Slash == std::string::npos ? Path : Path.substr(Slash + 1)) +
                     ".XXXXXX";
-  std::string TmpBuf = Tmp; // mkstemp rewrites the template in place
   if (fault::Fault F = fault::check("file.open")) {
     errno = F.errnoValue() ? F.errnoValue() : EIO;
     return makeCodedError(ErrorCode::IoError,
                           "cannot create temporary for '%s': %s", Path.c_str(),
                           std::strerror(errno));
   }
-  int Fd = ::mkstemp(TmpBuf.data());
+  int Fd = ::mkstemp(Tmp.data()); // Rewrites the template in place.
   if (Fd < 0)
     return makeCodedError(ErrorCode::IoError,
                           "cannot create temporary for '%s': %s", Path.c_str(),
                           std::strerror(errno));
-  const char *Data = Contents.data();
-  size_t Len = Contents.size();
+  return AtomicFile(Path, std::move(Tmp), Fd);
+}
+
+AtomicFile::AtomicFile(AtomicFile &&Other) noexcept
+    : Path(std::move(Other.Path)), Tmp(std::move(Other.Tmp)),
+      Fd(std::exchange(Other.Fd, -1)) {}
+
+AtomicFile::~AtomicFile() { discard(); }
+
+void AtomicFile::discard() {
+  if (Fd < 0)
+    return;
+  ::close(Fd);
+  ::unlink(Tmp.c_str());
+  Fd = -1;
+}
+
+Error AtomicFile::write(std::string_view Bytes) {
+  assert(Fd >= 0 && "write to a committed or failed AtomicFile");
+  const char *Data = Bytes.data();
+  size_t Len = Bytes.size();
   while (Len != 0) {
     ssize_t N = retry::retryEintr(
         [&] { return fault::write("file.write", Fd, Data, Len); });
     if (N < 0) {
-      ::close(Fd);
-      ::unlink(TmpBuf.c_str());
+      int Errno = errno;
+      discard();
       return makeCodedError(ErrorCode::IoError, "write error on '%s': %s",
-                            TmpBuf.c_str(), std::strerror(errno));
+                            Tmp.c_str(), std::strerror(Errno));
     }
     Data += N;
     Len -= static_cast<size_t>(N);
   }
+  return Error::success();
+}
+
+Error AtomicFile::commit(Durability Sync) {
+  assert(Fd >= 0 && "commit of a committed or failed AtomicFile");
   // Push the data down before the rename makes it reachable, so a
   // power loss cannot leave the path pointing at a hollow file.  The
   // process-crash case needs no fsync — completed write(2)s survive in
@@ -96,34 +118,40 @@ Error lima::writeFileAtomic(const std::string &Path, std::string_view Contents,
       SyncRc = retry::retryEintr([&] { return ::fsync(Fd); });
     }
     if (SyncRc != 0) {
-      ::close(Fd);
-      ::unlink(TmpBuf.c_str());
+      int Errno = errno;
+      discard();
       return makeCodedError(ErrorCode::IoError, "fsync error on '%s': %s",
-                            TmpBuf.c_str(), std::strerror(errno));
+                            Tmp.c_str(), std::strerror(Errno));
     }
   }
-  if (::close(Fd) != 0) {
-    ::unlink(TmpBuf.c_str());
+  int CloseRc = ::close(std::exchange(Fd, -1));
+  if (CloseRc != 0) {
+    int Errno = errno;
+    ::unlink(Tmp.c_str());
     return makeCodedError(ErrorCode::IoError, "close error on '%s': %s",
-                          TmpBuf.c_str(), std::strerror(errno));
+                          Tmp.c_str(), std::strerror(Errno));
   }
   int RenameRc;
   if (fault::Fault F = fault::check("file.rename")) {
     errno = F.errnoValue() ? F.errnoValue() : EIO;
     RenameRc = -1;
   } else {
-    RenameRc = ::rename(TmpBuf.c_str(), Path.c_str());
+    RenameRc = ::rename(Tmp.c_str(), Path.c_str());
   }
   if (RenameRc != 0) {
-    ::unlink(TmpBuf.c_str());
+    int Errno = errno;
+    ::unlink(Tmp.c_str());
     return makeCodedError(ErrorCode::IoError, "cannot rename '%s' to '%s': %s",
-                          TmpBuf.c_str(), Path.c_str(), std::strerror(errno));
+                          Tmp.c_str(), Path.c_str(), std::strerror(Errno));
   }
   // The rename itself lives in the directory, not the file: fsync the
   // parent so the new directory entry is durable too.  Failure here is
   // not worth un-renaming over — the data is safe, only the entry's
   // durability is weakened — so it is reported but nothing is undone.
   if (Sync == Durability::Full) {
+    size_t Slash = Path.find_last_of('/');
+    std::string Dir = Slash == std::string::npos ? std::string(".")
+                                                 : Path.substr(0, Slash);
     int DirFd = ::open(Dir.c_str(), O_RDONLY | O_DIRECTORY);
     if (DirFd >= 0) {
       int Rc = fault::check("file.dirsync")
@@ -136,4 +164,14 @@ Error lima::writeFileAtomic(const std::string &Path, std::string_view Contents,
     }
   }
   return Error::success();
+}
+
+Error lima::writeFileAtomic(const std::string &Path, std::string_view Contents,
+                            Durability Sync) {
+  Expected<AtomicFile> File = AtomicFile::create(Path);
+  if (!File)
+    return File.takeError();
+  if (Error Err = File->write(Contents))
+    return Err;
+  return File->commit(Sync);
 }

@@ -5,7 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Fallible whole-file read/write used by the trace and report layers.
+/// Fallible whole-file read/write used by the trace and report layers,
+/// and the one atomic-replace protocol (AtomicFile) behind every
+/// writeFileAtomic and the streamed saveTrace.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,7 +26,7 @@ Expected<std::string> readFile(const std::string &Path);
 /// Writes \p Contents to \p Path, replacing any existing file.
 Error writeFile(const std::string &Path, std::string_view Contents);
 
-/// How hard writeFileAtomic pushes the bytes toward the platters.
+/// How hard an atomic write pushes the bytes toward the platters.
 enum class Durability : uint8_t {
   /// fsync the temporary before rename(2) and the parent directory
   /// after, so the rename is not just atomic but durable: after a
@@ -39,12 +41,49 @@ enum class Durability : uint8_t {
   NoSync,
 };
 
-/// Writes \p Contents to \p Path atomically: the bytes go to a
-/// mkstemp(3) temporary in the same directory, then rename(2) over the
-/// destination.  A concurrent reader sees either the old file or the
-/// complete new one, never a torn mixture — this is what --metrics-out
-/// uses so a scraper polling the file cannot observe a half-written
-/// exposition.  The temporary is unlinked on any failure.
+/// A file replaced atomically, written in as many pieces as the caller
+/// likes: the bytes go to a mkstemp(3) temporary in the destination's
+/// directory, and commit() renames it over the destination.  A
+/// concurrent reader sees either the old file or the complete new one,
+/// never a torn mixture.  Move-only.  On any failure the temporary is
+/// closed and unlinked, and so is one destroyed before commit(): the
+/// destination keeps its old bytes either way.
+class AtomicFile {
+public:
+  /// Creates the temporary for \p Path.
+  static Expected<AtomicFile> create(const std::string &Path);
+
+  AtomicFile(AtomicFile &&Other) noexcept;
+  AtomicFile &operator=(AtomicFile &&) = delete;
+  AtomicFile(const AtomicFile &) = delete;
+  AtomicFile &operator=(const AtomicFile &) = delete;
+  ~AtomicFile();
+
+  /// Appends \p Bytes to the temporary, riding out short writes and
+  /// EINTR.  After a failure the temporary is gone and the file may
+  /// only be destroyed.
+  Error write(std::string_view Bytes);
+
+  /// Puts the temporary in place.  Durability::Full fsyncs it before
+  /// rename(2) and the directory after.  A failure before the rename
+  /// unlinks the temporary; a failed directory fsync is reported, but
+  /// the new file stays.  Called at most once.
+  Error commit(Durability Sync = Durability::Full);
+
+private:
+  AtomicFile(std::string Path, std::string Tmp, int Fd)
+      : Path(std::move(Path)), Tmp(std::move(Tmp)), Fd(Fd) {}
+  /// Closes and unlinks the temporary, if there still is one.
+  void discard();
+
+  std::string Path; ///< The destination.
+  std::string Tmp;  ///< The temporary's name, as mkstemp filled it in.
+  int Fd = -1;      ///< Open on Tmp until commit() or a failure.
+};
+
+/// Writes \p Contents to \p Path atomically: one AtomicFile, one
+/// write, commit(\p Sync).  This is what --metrics-out uses so a
+/// scraper polling the file cannot observe a half-written exposition.
 Error writeFileAtomic(const std::string &Path, std::string_view Contents,
                       Durability Sync = Durability::Full);
 

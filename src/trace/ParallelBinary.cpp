@@ -41,6 +41,7 @@
 #include "trace/BinaryIO.h"
 #include <cstring>
 #include <optional>
+#include <utility>
 
 using namespace lima;
 using namespace lima::trace;
@@ -357,23 +358,38 @@ Expected<Trace> parseBinaryV2Indexed(std::string_view Data,
     // Compact the pre-sized columns: per processor, in run order, slide
     // each run's written prefix down over the gaps lenient drops left,
     // and its messages down behind the messages of the runs before it.
+    // Processors share no slots, so each compacts on its own; its runs,
+    // listed in block order, are (block, run within the block) pairs.
+    std::vector<size_t> ProcRunBegin(H.NumProcs + 1, 0);
+    for (const BlockRun &Run : Idx.Runs)
+      ++ProcRunBegin[Run.Proc + 1];
+    for (unsigned Proc = 0; Proc != H.NumProcs; ++Proc)
+      ProcRunBegin[Proc + 1] += ProcRunBegin[Proc];
+    std::vector<std::pair<uint32_t, uint32_t>> ProcRuns(Idx.Runs.size());
+    {
+      std::vector<size_t> Fill(ProcRunBegin.begin(), ProcRunBegin.end() - 1);
+      for (size_t B = 0; B != Idx.Blocks.size(); ++B)
+        for (uint32_t R = 0; R != Idx.Blocks[B].NumRuns; ++R)
+          ProcRuns[Fill[Idx.Runs[Idx.Blocks[B].FirstRun + R].Proc]++] = {
+              static_cast<uint32_t>(B), R};
+    }
     std::vector<uint64_t> Cursor(H.NumProcs, 0);
     std::vector<uint64_t> MessageCursor(H.NumProcs, 0);
-    for (size_t B = 0; B != Idx.Blocks.size(); ++B) {
-      const BlockInfo &Blk = Idx.Blocks[B];
-      for (uint32_t R = 0; R != Blk.NumRuns; ++R) {
-        const BlockRun &Run = Idx.Runs[Blk.FirstRun + R];
+    parallelFor(H.NumProcs, Threads, [&](size_t Proc) {
+      uint64_t At = 0, MessageAt = 0;
+      for (size_t I = ProcRunBegin[Proc]; I != ProcRunBegin[Proc + 1]; ++I) {
+        const auto [B, R] = ProcRuns[I];
         const uint64_t Written = States[B].RunWritten[R];
         const uint64_t Messages = States[B].RunMessages[R];
-        const uint64_t Dest = RunDest[Blk.FirstRun + R];
-        uint64_t &At = Cursor[Run.Proc];
-        uint64_t &MessageAt = MessageCursor[Run.Proc];
-        Cols[Run.Proc].slide(At, Dest, Written);
-        Cols[Run.Proc].slideMessages(MessageAt, Dest, Messages);
+        const uint64_t Dest = RunDest[Idx.Blocks[B].FirstRun + R];
+        Cols[Proc].slide(At, Dest, Written);
+        Cols[Proc].slideMessages(MessageAt, Dest, Messages);
         At += Written;
         MessageAt += Messages;
       }
-    }
+      Cursor[Proc] = At;
+      MessageCursor[Proc] = MessageAt;
+    });
     uint64_t Kept = 0;
     for (unsigned Proc = 0; Proc != H.NumProcs; ++Proc) {
       T.resizeStream(Proc, Cursor[Proc], MessageCursor[Proc]);

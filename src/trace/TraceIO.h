@@ -25,6 +25,10 @@
 /// Lines starting with '#' and blank lines are ignored.  Times are
 /// seconds, printed with 9 decimals (nanosecond resolution round-trip).
 ///
+/// The writer prints every event line with scan::writeCanonicalEvent
+/// (TextScan.h): byte for byte what snprintf("%.*s %u %.9f %u[ %llu]\n")
+/// prints, for any double, id and byte count a Trace holds.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef LIMA_TRACE_TRACEIO_H
@@ -54,7 +58,10 @@ std::string writeTraceText(const Trace &T);
 Expected<Trace> parseTraceText(std::string_view Text,
                                const ParseOptions &Options = {});
 
-/// Convenience: writeTraceText to a file.
+/// Writes writeTraceText's bytes to \p Path atomically (AtomicFile,
+/// Durability::Full), streaming them to the temporary in 256 KiB chunks
+/// so that no whole-file string is built.  On failure returns IoError,
+/// the file at \p Path keeps its old bytes and no temporary is left.
 Error saveTrace(const Trace &T, const std::string &Path);
 
 /// Convenience: parse a trace file.  The file is mmapped when possible

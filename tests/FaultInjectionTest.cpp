@@ -8,9 +8,11 @@
 #include "support/FileUtils.h"
 #include "support/Retry.h"
 #include "TestHelpers.h"
+#include "trace/TraceIO.h"
 #include <cerrno>
 #include <cstdio>
 #include <fcntl.h>
+#include <filesystem>
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -252,4 +254,96 @@ TEST(FileUtilsFaultTest, OpenFailurePropagates) {
   ASSERT_TRUE(static_cast<bool>(Err));
   EXPECT_EQ(Err.code(), ErrorCode::IoError);
   Err.consume();
+}
+
+namespace {
+
+/// A trace whose text runs to several of saveTrace's 256 KiB chunks.
+trace::Trace makeLongTrace() {
+  trace::Trace T(4);
+  uint32_t Region = T.addRegion("solve");
+  uint32_t Work = T.addActivity("work");
+  for (unsigned P = 0; P != 4; ++P)
+    for (unsigned Round = 0; Round != 4000; ++Round) {
+      double Time = 0.001 * Round + 0.0001 * P;
+      T.append({Time, P, trace::EventKind::RegionEnter, Region, 0});
+      T.append({Time, P, trace::EventKind::ActivityBegin, Work, 0});
+      T.append({Time + 0.0005, P, trace::EventKind::ActivityEnd, Work, 0});
+      T.append({Time + 0.0005, P, trace::EventKind::RegionExit, Region, 0});
+    }
+  return T;
+}
+
+/// A fresh directory of its own for \p Name, so a test can see every
+/// file a save leaves in it.
+std::filesystem::path freshDir(const std::string &Name) {
+  std::filesystem::path Dir =
+      std::filesystem::path(::testing::TempDir()) / ("lima_fault_" + Name);
+  std::filesystem::remove_all(Dir);
+  std::filesystem::create_directories(Dir);
+  return Dir;
+}
+
+/// Saves a long trace over a file holding "old" under the fault
+/// schedule \p Spec: the save must fail with IoError and a message
+/// starting with \p Prefix, exactly one fault must fire, and the file
+/// must keep its old bytes with no temporary left beside it.
+void expectSaveFailsCleanly(const std::string &Name, const char *Spec,
+                            const std::string &Prefix) {
+  std::filesystem::path Dir = freshDir(Name);
+  std::string Path = (Dir / "trace.txt").string();
+  ASSERT_FALSE(failed(writeFileAtomic(Path, "old")));
+  trace::Trace T = makeLongTrace();
+  ASSERT_GT(trace::writeTraceText(T).size(), 2u * 256 * 1024);
+  ASSERT_FALSE(failed(fault::configure(Spec)));
+  Error Err = trace::saveTrace(T, Path);
+  EXPECT_EQ(fault::injectedTotal(), 1u);
+  fault::reset();
+  ASSERT_TRUE(static_cast<bool>(Err));
+  EXPECT_EQ(Err.code(), ErrorCode::IoError);
+  EXPECT_EQ(Err.message().rfind(Prefix, 0), 0u) << Err.message();
+  Err.consume();
+  EXPECT_EQ(cantFail(readFile(Path)), "old");
+  for (const auto &Entry : std::filesystem::directory_iterator(Dir))
+    EXPECT_EQ(Entry.path().filename().string().find(".tmp."),
+              std::string::npos)
+        << Entry.path();
+  std::filesystem::remove_all(Dir);
+}
+
+} // namespace
+
+TEST(FileUtilsFaultTest, StreamedSaveSurvivesShortWrites) {
+  FaultGuard Guard;
+  std::filesystem::path Dir = freshDir("save_short");
+  std::string Path = (Dir / "trace.txt").string();
+  trace::Trace T = makeLongTrace();
+  std::string Text = trace::writeTraceText(T);
+  ASSERT_GT(Text.size(), 2u * 256 * 1024);
+  ASSERT_FALSE(failed(fault::configure("file.write:short@1x*")));
+  ASSERT_FALSE(failed(trace::saveTrace(T, Path)));
+  // Every write moved at most half of what it was asked for, so each
+  // chunk took several.
+  EXPECT_GT(fault::injectedTotal(), 2u * Text.size() / (256 * 1024));
+  fault::reset();
+  EXPECT_TRUE(cantFail(readFile(Path)) == Text);
+  std::filesystem::remove_all(Dir);
+}
+
+TEST(FileUtilsFaultTest, StreamedSaveWriteFailureLeavesOldContents) {
+  FaultGuard Guard;
+  // The first chunk is written; the second one's write fails.
+  expectSaveFailsCleanly("save_write", "file.write:enospc@2",
+                         "write error on '");
+}
+
+TEST(FileUtilsFaultTest, StreamedSaveFsyncFailureLeavesOldContents) {
+  FaultGuard Guard;
+  expectSaveFailsCleanly("save_fsync", "file.fsync:eio@1", "fsync error on '");
+}
+
+TEST(FileUtilsFaultTest, StreamedSaveRenameFailureLeavesOldContents) {
+  FaultGuard Guard;
+  expectSaveFailsCleanly("save_rename", "file.rename:eio@1",
+                         "cannot rename '");
 }

@@ -3,8 +3,8 @@
 
 Used by the bench_smoke ctest and the CI bench-smoke leg: parses the
 file, checks the envelope fields and the per-section schema (including
-the ingest and binary_ingest sections), and exits non-zero with a
-readable message on the first violation.  Timing values are only
+the ingest, binary_ingest and text_write sections), and exits non-zero
+with a readable message on the first violation.  Timing values are only
 checked for type/positivity, never magnitude, so the check is stable on
 loaded CI machines.
 
@@ -13,14 +13,15 @@ Compare mode:
     check_bench_json.py BENCH_parallel.json --compare bench/baseline.json
 
 validates the file as above, then compares wall-clock numbers of the
-hot sections (ingest, binary_ingest, reduce records) against a
-checked-in baseline.  Only slowdowns beyond SLOWDOWN_LIMIT (2x) fail —
-shared CI runners jitter far too much for tight thresholds, but a 2x
-regression on the same workload is a real change.  Keys missing from
-either side are skipped, so adding or renaming sections never breaks
-the gate before the baseline is refreshed; so are sections whose
-baseline is under MIN_COMPARABLE_MS.  Every skipped section is printed
-by name, so a gate that cannot see a leg says so.
+hot sections (ingest, binary_ingest, streaming_write, text_write,
+reduce records) against a checked-in baseline.  Only slowdowns beyond
+SLOWDOWN_LIMIT (2x) fail — shared CI runners jitter far too much for
+tight thresholds, but a 2x regression on the same workload is a real
+change.  Keys missing from either side are skipped, so adding or
+renaming sections never breaks the gate before the baseline is
+refreshed; so are sections whose baseline is under MIN_COMPARABLE_MS.
+Every skipped section is printed by name, so a gate that cannot see a
+leg says so.
 """
 
 import argparse
@@ -66,6 +67,14 @@ BINARY_LEG = {"wall_ms": float, "events_per_s": float, "mb_per_s": float,
 
 WRITE_LEG = {"wall_ms": float, "events_per_s": float, "mb_per_s": float,
              "vs_buffered": float}
+
+# saveTrace against the snprintf writer it replaced (the reference,
+# building the whole file before the atomic write), over the same
+# trace's text bytes.
+TEXT_WRITE_LEG = {"wall_ms": float, "events_per_s": float,
+                  "mb_per_s": float, "speedup_vs_reference": float}
+
+TEXT_WRITE_LEGS = ("reference", "save")
 
 RECORD = {"name": str, "threads": int, "events": int,
           "wall_ms": float, "speedup": float}
@@ -169,6 +178,15 @@ def validate(doc, path):
              f"{stream['peak_buffered_bytes']} bytes exceeds the "
              f"one-block bound of {stream['block_bound_bytes']}")
 
+    text_write = doc.get("text_write")
+    check_object(text_write, {"events": int, "bytes": int}, "text_write")
+    for leg in TEXT_WRITE_LEGS:
+        check_object(text_write.get(leg), TEXT_WRITE_LEG,
+                     f"text_write.{leg}")
+    if text_write["reference"]["speedup_vs_reference"] != 1.0:
+        fail("text_write.reference.speedup_vs_reference: must be 1.0 by "
+             "definition")
+
     for section in ("telemetry", "metrics"):
         check_object(doc.get(section), {"compiled": bool,
                                         "disabled_wall_ms": float,
@@ -195,7 +213,8 @@ def validate(doc, path):
           f"{len(doc['records'])} records, ingest scanner speedup "
           f"{ingest['scanner']['speedup_vs_legacy']}x, "
           f"binary v2 sharded "
-          f"{binary['v2_sharded']['speedup_vs_v1']}x vs v1)")
+          f"{binary['v2_sharded']['speedup_vs_v1']}x vs v1, text save "
+          f"{text_write['save']['speedup_vs_reference']}x vs reference)")
 
 
 def comparable_walls(doc):
@@ -204,7 +223,8 @@ def comparable_walls(doc):
     gate tolerates schema evolution until the baseline is refreshed."""
     for section, legs in (("ingest", INGEST_LEGS),
                           ("binary_ingest", ("v1", "v2_seq", "v2_sharded")),
-                          ("streaming_write", ("buffered", "streamed"))):
+                          ("streaming_write", ("buffered", "streamed")),
+                          ("text_write", TEXT_WRITE_LEGS)):
         obj = doc.get(section)
         if not isinstance(obj, dict):
             continue
